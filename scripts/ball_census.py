@@ -8,21 +8,12 @@ Example:
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from palwidth import baumslag, heisenberg, wreath
+from palwidth.cli import lookup_group
 from palwidth.search import ball_table, pal_length_histogram
-
-
-def evaluator_for(label):
-    if label == "wreath":
-        return wreath.evaluator()
-    if label == "heis":
-        return heisenberg.evaluator()
-    if label.startswith("bs:"):
-        return baumslag.evaluator(int(label.split(":", 1)[1]))
-    raise SystemExit(f"unknown group {label!r}")
 
 
 def main():
@@ -33,7 +24,10 @@ def main():
     parser.add_argument("--max-factors", type=int, default=None)
     parser.add_argument("--budget", type=int, default=2_000_000)
     args = parser.parse_args()
-    ev = evaluator_for(args.group)
+    try:
+        ev = lookup_group(args.group)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(f"# ball growth, group={args.group}")
     print("radius,elements")

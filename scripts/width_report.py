@@ -11,11 +11,11 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from palwidth import baumslag, heisenberg, wreath
-from palwidth.heisenberg import HeisElement
 from palwidth.palindromes import check_in_group
 from palwidth.search import pal_length_bounded
 from palwidth.suites import random_derived_element, random_word, random_wreath_element
@@ -68,8 +68,8 @@ def main():
             dec = baumslag.two_palindrome_decomposition(g)
             check_in_group(dec, lambda w: baumslag.evaluate(w, n))
             bs_good += dec.length <= 2
-    ta_unreached = baumslag.palindrome_search_bounded(
-        baumslag.evaluate(parse("ta", AT), 2), 13) is None
+    ta_unreached = not pal_length_bounded(
+        baumslag.evaluator(2), baumslag.evaluate(parse("ta", AT), 2), 1, 13).found
     ok &= fact("pw(BS(1,n)) <= 2 for n in {2, 3, -2}",
                bs_good == 3 * (args.cases // 3), f"{bs_good} certificates verified")
     ok &= fact("t a has no palindromic word of length <= 13 (bounded evidence)",

@@ -23,7 +23,7 @@ from .palindromes import (
     SelfCheckError,
     check_in_group,
 )
-from .search import enumerate_palindromes
+from .search import Evaluator
 from .words import AT, Word, run_word
 
 
@@ -53,14 +53,6 @@ class BSElement:
     def identity(cls, n: int) -> "BSElement":
         return cls(0, 0, 0, n)
 
-    @classmethod
-    def gen_a(cls, n: int) -> "BSElement":
-        return cls(1, 0, 0, n)
-
-    @classmethod
-    def gen_t(cls, n: int) -> "BSElement":
-        return cls(0, 0, 1, n)
-
     def translation(self) -> Fraction:
         return Fraction(self.num, self.n**self.den_exp)
 
@@ -84,8 +76,6 @@ class BSElement:
         if e >= 0:
             return BSElement(-self.num, e, -self.dil, self.n)
         return BSElement(-self.num * self.n ** (-e), 0, -self.dil, self.n)
-
-    __invert__ = inverse
 
     def to_json(self) -> dict:
         return {"num": self.num, "den_exp": self.den_exp, "dil": self.dil, "n": self.n}
@@ -168,18 +158,14 @@ def two_palindrome_decomposition(g: BSElement) -> PalindromicDecomposition:
     return dec
 
 
-def palindrome_search_bounded(g: BSElement, max_len: int) -> Word | None:
-    """Shortlex-first palindromic word of length <= max_len evaluating to g,
-    or None. Absence within the bound is evidence, not a proof."""
-    for w in enumerate_palindromes(AT, max_len):
-        if evaluate(w, g.n) == g:
-            return w
-    return None
+def evaluator(n: int) -> Evaluator:
+    """The group record of BS(1, n); its literals must carry this n."""
 
-
-def evaluator(n: int):
-    """Plug-in for the generic search engine."""
-    from .search import Evaluator
+    def decode(doc: object) -> BSElement:
+        element = BSElement.from_json(doc)
+        if element.n != n:
+            raise ValueError(f"element has n={element.n}, group is bs:{n}")
+        return element
 
     return Evaluator(
         label=f"bs:{n}",
@@ -187,5 +173,6 @@ def evaluator(n: int):
         eval=lambda w: evaluate(w, n),
         mul=lambda g1, g2: g1 * g2,
         inv=BSElement.inverse,
-        describe=str,
+        decode=decode,
+        decompose=two_palindrome_decomposition,
     )

@@ -15,7 +15,7 @@ import sys
 from . import __version__, baumslag, heisenberg, suites, wreath
 from .palindromes import CertificateError, PalindromicDecomposition, SelfCheckError
 from .search import BudgetExceeded, Evaluator, ball_table, pal_length_histogram, write_ball_csv
-from .words import AB, AT, ParseError, Word, parse
+from .words import ParseError, Word, parse
 from .wreath import NotInDerivedError
 
 EXIT_OK = 0
@@ -24,38 +24,27 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _bs_param(label: str) -> int:
-    try:
-        return int(label.split(":", 1)[1])
-    except ValueError:
-        raise ValueError(f"bad group parameter in {label!r} (expected bs:N)") from None
-
-
-def _group_evaluator(label: str) -> Evaluator:
+def lookup_group(label: str) -> Evaluator:
+    """The group record named by `wreath`, `heis` or `bs:N`."""
     if label == "wreath":
         return wreath.evaluator()
     if label == "heis":
         return heisenberg.evaluator()
     if label.startswith("bs:"):
-        return baumslag.evaluator(_bs_param(label))
+        try:
+            n = int(label.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad group parameter in {label!r} (expected bs:N)") from None
+        return baumslag.evaluator(n)
     raise ValueError(f"unknown group {label!r} (expected wreath, heis or bs:N)")
 
 
-def _parse_wreath_element(text: str) -> wreath.WreathElement:
+def _read_element(group: Evaluator, text: str):
+    """An element of `group` given as a JSON element literal or as word text."""
     text = text.strip()
     if text.startswith("{"):
-        return wreath.WreathElement.from_json(json.loads(text))
-    return wreath.evaluate(parse(text, AB))
-
-
-def _parse_bs_element(text: str, n: int) -> baumslag.BSElement:
-    text = text.strip()
-    if text.startswith("{"):
-        element = baumslag.BSElement.from_json(json.loads(text))
-        if element.n != n:
-            raise ValueError(f"element has n={element.n}, group is bs:{n}")
-        return element
-    return baumslag.evaluate(parse(text, AT), n)
+        return group.decode(json.loads(text))
+    return group.eval(parse(text, group.alphabet))
 
 
 def certificate_json(group: str, dec: PalindromicDecomposition, element_json) -> dict:
@@ -71,28 +60,24 @@ def certificate_json(group: str, dec: PalindromicDecomposition, element_json) ->
 
 def recheck_certificate(doc: dict) -> bool:
     """Recompute `verified` from scratch; the stored flag is never trusted."""
-    ev = _group_evaluator(doc["group"])
-    target = parse(doc["target"]["word"], ev.alphabet)
-    factors = tuple(parse(text, ev.alphabet) for text in doc["factors"])
+    group = lookup_group(doc["group"])
+    target = parse(doc["target"]["word"], group.alphabet)
+    factors = tuple(parse(text, group.alphabet) for text in doc["factors"])
     if any(not f or not f.is_palindrome() for f in factors):
         return False
     product = Word()
     for f in factors:
         product = product * f
-    if ev.eval(product) != ev.eval(target):
+    value = group.eval(target)
+    if group.eval(product) != value:
         return False
     element = doc["target"].get("element")
-    if element is not None:
-        if doc["group"] == "wreath":
-            if wreath.WreathElement.from_json(element) != ev.eval(target):
-                return False
-        elif doc["group"] == "heis":
-            if heisenberg.HeisElement.from_json(element) != ev.eval(target):
-                return False
-        elif doc["group"].startswith("bs:"):
-            if baumslag.BSElement.from_json(element) != ev.eval(target):
-                return False
-    return True
+    if element is None:
+        return True
+    try:
+        return group.decode(element) == value
+    except ValueError:  # the stored literal is not an element of this group
+        return False
 
 
 def _emit(args, payload: str) -> None:
@@ -103,19 +88,12 @@ def _emit(args, payload: str) -> None:
 
 
 def cmd_decompose(args) -> int:
-    if args.group == "wreath":
-        element = _parse_wreath_element(args.element)
-        dec = wreath.three_palindrome_decomposition(element)
-        element_json = element.to_json()
-    elif args.group.startswith("bs:"):
-        n = _bs_param(args.group)
-        element = _parse_bs_element(args.element, n)
-        dec = baumslag.two_palindrome_decomposition(element)
-        element_json = element.to_json()
-    else:
+    group = lookup_group(args.group)
+    if group.decompose is None:
         print(f"error: no decomposition routine for group {args.group!r}", file=sys.stderr)
         return EXIT_USAGE
-    doc = certificate_json(args.group, dec, element_json)
+    element = _read_element(group, args.element)
+    doc = certificate_json(args.group, group.decompose(element), element.to_json())
     payload = json.dumps(doc, sort_keys=True, indent=2)
     _emit(args, payload)
     if args.recheck and not recheck_certificate(json.loads(payload)):
@@ -125,7 +103,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    element = _parse_wreath_element(args.element)
+    element = _read_element(lookup_group("wreath"), args.element)
     f = wreath.commutator_witness(element)  # raises NotInDerivedError -> exit 1
     recomputed = wreath.commutator_with_b(f)
     doc = {
@@ -149,7 +127,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    ev = _group_evaluator(args.group)
+    ev = lookup_group(args.group)
     if args.radius is not None and args.max_len is None:
         table = ball_table(ev, args.radius, max_states=args.budget)
         if args.out:

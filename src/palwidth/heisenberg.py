@@ -24,6 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from .palindromes import SelfCheckError
+from .search import Evaluator
 from .words import AB, EMPTY, Word, run_word
 from .wreath import WreathElement
 
@@ -47,8 +48,6 @@ class HeisElement:
 
     def inverse(self) -> "HeisElement":
         return HeisElement(-self.x, -self.y, self.x * self.y - self.z)
-
-    __invert__ = inverse
 
     def to_json(self) -> list[int]:
         return [self.x, self.y, self.z]
@@ -160,15 +159,14 @@ def two_palindrome_product(h: HeisElement) -> tuple[Word, Word] | None:
     return None
 
 
-def evaluator():
-    """Plug-in for the generic search engine."""
-    from .search import Evaluator
-
+def evaluator() -> Evaluator:
+    """The group record of N_{2,2}, which has no certificate routine."""
     return Evaluator(
         label="heis",
         alphabet=AB,
         eval=evaluate,
         mul=operator.mul,
         inv=HeisElement.inverse,
-        describe=str,
+        decode=HeisElement.from_json,
+        decompose=None,
     )

@@ -1,12 +1,12 @@
 """Group-agnostic brute force: palindrome enumeration, Cayley-ball
 tabulation, and bounded palindromic-length search.
 
-Everything is parameterized by an `Evaluator`: a label, an alphabet, and
-an exact evaluation map from reduced words to canonical, hashable
-encodings (equal encodings iff equal group elements). When the evaluator
-also carries `mul`/`inv` on encodings the length search uses a
-meet-in-the-middle hash join; otherwise it falls back to evaluating
-concatenations pairwise.
+Everything is parameterized by an `Evaluator`, the one record that
+defines a group: a label, an alphabet, an exact evaluation map from
+reduced words to canonical, hashable encodings (equal encodings iff equal
+group elements, `str` giving the element literal), `mul`/`inv` on
+encodings for the meet-in-the-middle hash join of the length search, and
+the JSON codec and certificate routine the command line uses.
 
 All tie-breaking is shortlex in the fixed letter order a < a^-1 < b < ...,
 so identical inputs produce identical outputs, witnesses included.
@@ -20,6 +20,7 @@ import csv
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from .palindromes import PalindromicDecomposition
 from .words import EMPTY, Alphabet, Word, shortlex_key
 
 
@@ -37,9 +38,10 @@ class Evaluator:
     label: str
     alphabet: Alphabet
     eval: Callable[[Word], Any]
-    mul: Callable[[Any, Any], Any] | None = None
-    inv: Callable[[Any], Any] | None = None
-    describe: Callable[[Any], str] = str
+    mul: Callable[[Any, Any], Any]
+    inv: Callable[[Any], Any]
+    decode: Callable[[Any], Any]  # JSON element literal -> encoding
+    decompose: Callable[[Any], PalindromicDecomposition] | None  # None: no certificates
 
 
 def enumerate_reduced_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
@@ -132,18 +134,9 @@ class _PalProductIndex:
             d = len(self.levels)
             prev = self.levels[d - 1]
             level: dict[Any, tuple[Word, Any]] = {}
-            if self.ev.mul is not None:
-                for enc_prev in prev:
-                    for enc1 in self.base:
-                        level.setdefault(self.ev.mul(enc_prev, enc1), (self.base[enc1], enc_prev))
-            else:
-                prev_words = {enc: self.factors(d - 1, enc) for enc in prev}
-                for enc_prev, words in prev_words.items():
-                    prefix = Word()
-                    for w in words:
-                        prefix = prefix * w
-                    for enc1, w1 in self.base.items():
-                        level.setdefault(self.ev.eval(prefix * w1), (w1, enc_prev))
+            for enc_prev in prev:
+                for enc1 in self.base:
+                    level.setdefault(self.ev.mul(enc_prev, enc1), (self.base[enc1], enc_prev))
             self.levels.append(level)
             self._count(len(level), d)
 
@@ -163,32 +156,23 @@ class _PalProductIndex:
             if target in self.levels[left]:
                 return self.factors(left, target)
             return None
-        if self.ev.mul is not None and self.ev.inv is not None:
-            lhs, rhs = self.levels[left], self.levels[right]
-            if len(rhs) <= len(lhs):
-                for enc_r in rhs:
-                    need = self.ev.mul(target, self.ev.inv(enc_r))
-                    if need in lhs:
-                        return self.factors(left, need) + self.factors(right, enc_r)
-            else:
-                for enc_l in lhs:
-                    need = self.ev.mul(self.ev.inv(enc_l), target)
-                    if need in rhs:
-                        return self.factors(left, enc_l) + self.factors(right, need)
-            return None
-        for enc_l in self.levels[left]:
-            l_words = self.factors(left, enc_l)
-            prefix = Word()
-            for w in l_words:
-                prefix = prefix * w
-            for enc_r in self.levels[right]:
-                r_words = self.factors(right, enc_r)
-                product = prefix
-                for w in r_words:
-                    product = product * w
-                if self.ev.eval(product) == target:
-                    return l_words + r_words
+        lhs, rhs = self.levels[left], self.levels[right]
+        if len(rhs) <= len(lhs):
+            for enc_r in rhs:
+                need = self.ev.mul(target, self.ev.inv(enc_r))
+                if need in lhs:
+                    return self.factors(left, need) + self.factors(right, enc_r)
+        else:
+            for enc_l in lhs:
+                need = self.ev.mul(self.ev.inv(enc_l), target)
+                if need in rhs:
+                    return self.factors(left, enc_l) + self.factors(right, need)
         return None
+
+
+def _check_max_factors(max_factors: int) -> None:
+    if max_factors < 1:
+        raise ValueError("max_factors must be at least 1")
 
 
 def pal_length_bounded(
@@ -201,8 +185,7 @@ def pal_length_bounded(
     """Smallest k <= max_factors expressing `target` as a product of k
     enumerated palindromes of length <= max_len, with a verified witness;
     unknown otherwise. Absence is not a proof."""
-    if max_factors < 1:
-        raise ValueError("max_factors must be at least 1")
+    _check_max_factors(max_factors)
     if target == ev.eval(EMPTY):
         return PalSearchResult(0, (), max_factors, max_len)
     index = _PalProductIndex(ev, max_len, max_states)
@@ -264,7 +247,7 @@ def write_ball_csv(table: BallTable, ev: Evaluator, out) -> None:
         table.entries.items(), key=lambda kv: (kv[1][0], shortlex_key(kv[1][1], ev.alphabet))
     )
     for enc, (length, witness) in rows:
-        writer.writerow([ev.describe(enc), length, str(witness)])
+        writer.writerow([str(enc), length, str(witness)])
 
 
 def pal_length_histogram(
@@ -276,6 +259,7 @@ def pal_length_histogram(
 ) -> dict[str, int]:
     """Bounded palindromic-length histogram over the ball of the given
     radius; elements not expressible within the bounds count as unknown."""
+    _check_max_factors(max_factors)
     table = ball_table(ev, radius, max_states)
     index = _PalProductIndex(ev, max_len, max_states)
     identity = ev.eval(EMPTY)

@@ -129,8 +129,6 @@ class Word:
         """Group inverse: reversed order, all signs flipped."""
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    __invert__ = inverse
-
     def reverse(self) -> "Word":
         """Letter reversal, each letter keeping its own sign."""
         return Word(tuple(reversed(self.letters)))

@@ -42,6 +42,7 @@ from .palindromes import (
     SelfCheckError,
     check_in_group,
 )
+from .search import Evaluator
 from .words import AB, Word, run_word
 
 
@@ -75,9 +76,6 @@ class SupportVector:
     def items(self) -> tuple[tuple[int, int], ...]:
         """Entries in ascending index order."""
         return self._key
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._key)
 
     def __getitem__(self, index: int) -> int:
         return self._entries.get(index, 0)
@@ -141,12 +139,6 @@ class WreathElement:
 
     def inverse(self) -> "WreathElement":
         return WreathElement((-self.tail).shift(self.shift), -self.shift)
-
-    __invert__ = inverse
-
-    def b_conjugate(self, k: int) -> "WreathElement":
-        """b^-k * self * b^k: shifts the tail by +k, leaves the shift alone."""
-        return WreathElement(self.tail.shift(k), self.shift)
 
     def in_derived_subgroup(self) -> bool:
         return self.shift == 0 and self.tail.exponent_sum() == 0
@@ -465,15 +457,14 @@ def classify_palindrome_form(g: WreathElement) -> PalindromeForm:
     return PalindromeForm("neither")
 
 
-def evaluator():
-    """Plug-in for the generic search engine."""
-    from .search import Evaluator
-
+def evaluator() -> Evaluator:
+    """The group record of Z wr Z."""
     return Evaluator(
         label="wreath",
         alphabet=AB,
         eval=evaluate,
         mul=operator.mul,
         inv=WreathElement.inverse,
-        describe=WreathElement.literal,
+        decode=WreathElement.from_json,
+        decompose=three_palindrome_decomposition,
     )

@@ -95,7 +95,7 @@ def test_c4_bs_two_palindromes():
             check_in_group(dec, lambda w: baumslag.evaluate(w, n))
             assert baumslag.evaluate(dec.target, n) == g
     ta = baumslag.evaluate(parse("ta", AT), 2)
-    assert baumslag.palindrome_search_bounded(ta, 13) is None
+    assert not pal_length_bounded(baumslag.evaluator(2), ta, 1, 13).found
     _report("C4 pw(BS(1,n)) <= 2 with bounded lower-bound evidence", start, limit=60.0)
 
 

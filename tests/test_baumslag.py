@@ -6,12 +6,13 @@ from strategies import words
 from palwidth.baumslag import (
     BSElement,
     evaluate,
+    evaluator,
     normal_form,
     normal_form_word,
-    palindrome_search_bounded,
     two_palindrome_decomposition,
 )
 from palwidth.palindromes import check_in_group
+from palwidth.search import pal_length_bounded
 from palwidth.words import AT, EMPTY, parse
 
 NS = (2, 3, -2)
@@ -132,18 +133,22 @@ class TestDecomposition:
 
 
 class TestBoundedPalindromeSearch:
+    """One palindrome is a k = 1 query on the search engine."""
+
     def test_identity(self):
-        assert palindrome_search_bounded(BSElement.identity(2), 0) == EMPTY
+        res = pal_length_bounded(evaluator(2), BSElement.identity(2), 1, 0)
+        assert res.k == 0 and res.factors == ()
 
     def test_witness_re_evaluates(self):
         g = evaluate(w("ata"), 2)
-        witness = palindrome_search_bounded(g, 3)
-        assert witness is not None
+        res = pal_length_bounded(evaluator(2), g, 1, 3)
+        assert res.found
+        (witness,) = res.factors
         assert witness.is_palindrome()
         assert evaluate(witness, 2) == g
 
     def test_ta_not_palindromic_within_bound(self):
-        assert palindrome_search_bounded(evaluate(w("t a"), 2), 9) is None
+        assert not pal_length_bounded(evaluator(2), evaluate(w("t a"), 2), 1, 9).found
 
 
 def test_json_round_trip():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from palwidth.cli import main, recheck_certificate
+from palwidth.cli import lookup_group, main, recheck_certificate
 from palwidth.palindromes import check_in_group
 from palwidth.words import AB, AT, parse
 from palwidth import baumslag, wreath
@@ -74,8 +74,8 @@ class TestDecompose:
         assert code == 2 and "unknown generator" in err
 
     def test_bad_group(self, capsys):
-        code, _, _ = run(capsys, "decompose", "--group", "nope", "a")
-        assert code == 2
+        code, out, err = run(capsys, "decompose", "--group", "nope", "a")
+        assert code == 2 and out == "" and "'nope'" in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -157,6 +157,15 @@ class TestExplore:
         assert doc["histogram"]["0"] == 1
         assert sum(doc["histogram"].values()) > 1
 
+    @pytest.mark.parametrize("max_factors", ["0", "-1"])
+    def test_histogram_needs_a_factor(self, capsys, max_factors):
+        code, out, err = run(
+            capsys, "explore", "--group", "heis", "--max-len", "2", "--max-factors", max_factors,
+            "--radius", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: max_factors must be at least 1\n"
+
     def test_usage_error_without_mode(self, capsys):
         code, _, _ = run(capsys, "explore", "--group", "heis")
         assert code == 2
@@ -194,9 +203,43 @@ class TestRecheck:
         doc["target"]["element"] = {"support": {"5": 1}, "shift": 0}
         assert not recheck_certificate(doc)
 
+    def test_recheck_rejects_element_of_another_bs_group(self, capsys):
+        _, out, _ = run(capsys, "decompose", "--group", "bs:3", "t^-1 a t a")
+        doc = json.loads(out)
+        doc["target"]["element"]["n"] = 2
+        assert not recheck_certificate(doc)
+
+    def test_recheck_rejects_unknown_group(self, capsys):
+        _, out, _ = run(capsys, "decompose", "--group", "wreath", "ab")
+        doc = json.loads(out)
+        doc["group"] = "nope"
+        with pytest.raises(ValueError, match="'nope'"):
+            recheck_certificate(doc)
+
     def test_verified_flag_not_trusted(self, capsys):
         _, out, _ = run(capsys, "decompose", "--group", "wreath", "ab")
         doc = json.loads(out)
         doc["verified"] = True
         doc["factors"] = ["a"]
         assert not recheck_certificate(doc)
+
+
+class TestLookupGroup:
+    @pytest.mark.parametrize("label", ["wreath", "heis", "bs:3", "bs:-2"])
+    def test_label_round_trips(self, label):
+        assert lookup_group(label).label == label
+
+    @pytest.mark.parametrize("label", ["nope", "bs:", "bs:x", "Wreath"])
+    def test_bad_label(self, label):
+        with pytest.raises(ValueError):
+            lookup_group(label)
+
+    def test_bs_literal_must_match_n(self):
+        with pytest.raises(ValueError, match="element has n=2, group is bs:3"):
+            lookup_group("bs:3").decode({"num": 1, "den_exp": 0, "dil": 0, "n": 2})
+
+    def test_decode_inverts_to_json(self):
+        for label, word in (("wreath", "a b a^-2"), ("heis", "a b a^-2"), ("bs:3", "t a t^-2")):
+            group = lookup_group(label)
+            g = group.eval(parse(word, group.alphabet))
+            assert group.decode(json.loads(json.dumps(g.to_json()))) == g

@@ -1,0 +1,34 @@
+"""Smoke tests: the experiment scripts run from any working directory."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args, facts",
+    [
+        ("ball_census.py", ["--group", "bs:2", "--radius", "3", "--max-len", "4", "--max-factors", "2"], 0),
+        ("width_report.py", ["--cases", "30"], 5),
+    ],
+)
+def test_script_runs_outside_the_repo(tmp_path, script, args, facts):
+    # without PYTHONPATH the script has to find the package on its own
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reported = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert len(reported) == facts
+    assert all(line.startswith("[PASS]") for line in reported)

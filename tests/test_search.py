@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import pytest
 
@@ -167,15 +168,20 @@ class TestPalLengthBounded:
         r2 = pal_length_bounded(ev, HeisElement(2, 2, 1), 3, 6)
         assert r1 == r2
 
-    def test_fallback_join_agrees(self):
-        ev = heisenberg.evaluator()
-        from palwidth.search import Evaluator
-
-        plain = Evaluator(label="heis-plain", alphabet=AB, eval=ev.eval)
-        for target in (HeisElement(0, 0, 1), HeisElement(1, 1, 0), HeisElement(2, 1, 1)):
-            fast = pal_length_bounded(ev, target, 3, 4)
-            slow = pal_length_bounded(plain, target, 3, 4)
-            assert fast.k == slow.k
+    def test_minimal_k_matches_brute_force_products(self):
+        # oracle: evaluate the concatenation of every tuple of <= 3 short
+        # palindromes as a word, never touching the engine's mul/inv join
+        for ev in (heisenberg.evaluator(), baumslag.evaluator(2)):
+            pals = [p for p in enumerate_palindromes(ev.alphabet, 4) if p]
+            least = {ev.eval(EMPTY): 0}
+            for k in (1, 2, 3):
+                for factors in itertools.product(pals, repeat=k):
+                    product = Word()
+                    for f in factors:
+                        product = product * f
+                    least.setdefault(ev.eval(product), k)
+            for enc in ball_table(ev, 3).entries:
+                assert pal_length_bounded(ev, enc, 3, 4).k == least.get(enc), (ev.label, enc)
 
     def test_requires_positive_factors(self):
         with pytest.raises(ValueError):
