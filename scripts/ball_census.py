@@ -35,9 +35,12 @@ def main():
         print(f"{r},{len(ball_table(ev, r, max_states=args.budget))}")
 
     if args.max_len is not None and args.max_factors is not None:
-        hist = pal_length_histogram(
-            ev, args.radius, args.max_factors, args.max_len, max_states=args.budget
-        )
+        try:
+            hist = pal_length_histogram(
+                ev, args.radius, args.max_factors, args.max_len, max_states=args.budget
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
         print(f"# palindromic length within radius {args.radius}, "
               f"factors <= {args.max_factors}, palindrome length <= {args.max_len}")
         print("pal_length,count")

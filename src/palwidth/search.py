@@ -5,8 +5,15 @@ Everything is parameterized by an `Evaluator`, the one record that
 defines a group: a label, an alphabet, an exact evaluation map from
 reduced words to canonical, hashable encodings (equal encodings iff equal
 group elements, `str` giving the element literal), `mul`/`inv` on
-encodings for the meet-in-the-middle hash join of the length search, and
-the JSON codec and certificate routine the command line uses.
+encodings, and the JSON codec and certificate routine the command line
+uses.
+
+`mul` drives both searches. The ball BFS multiplies each frontier
+element by the generator images instead of re-evaluating whole words.
+The length search builds levels of d-fold palindrome products lazily;
+the histogram tests membership in a level once it is built and only
+otherwise runs a meet-in-the-middle hash join, against each level's
+inverses computed once.
 
 All tie-breaking is shortlex in the fixed letter order a < a^-1 < b < ...,
 so identical inputs produce identical outputs, witnesses included.
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from .palindromes import PalindromicDecomposition
-from .words import EMPTY, Alphabet, Word, shortlex_key
+from .words import EMPTY, Alphabet, Word
 
 
 class BudgetExceeded(RuntimeError):
@@ -122,6 +129,7 @@ class _PalProductIndex:
             {},
             {enc: (w, None) for enc, w in base.items()},
         ]
+        self._inverses: dict[int, list[tuple[Any, Any]]] = {}
         self._count(len(base), 1)
 
     def _count(self, added: int, depth: int) -> None:
@@ -147,6 +155,14 @@ class _PalProductIndex:
             out.append(w)
         return tuple(reversed(out))
 
+    def inverses(self, depth: int) -> list[tuple[Any, Any]]:
+        """(encoding, inverse) pairs of a built level in its order, computed once."""
+        pairs = self._inverses.get(depth)
+        if pairs is None:
+            inv = self.ev.inv
+            pairs = self._inverses[depth] = [(enc, inv(enc)) for enc in self.levels[depth]]
+        return pairs
+
     def find(self, target: Any, k: int) -> tuple[Word, ...] | None:
         """First split of `target` into a product of exactly k palindromes."""
         left = (k + 1) // 2
@@ -157,22 +173,33 @@ class _PalProductIndex:
                 return self.factors(left, target)
             return None
         lhs, rhs = self.levels[left], self.levels[right]
+        mul = self.ev.mul
         if len(rhs) <= len(lhs):
-            for enc_r in rhs:
-                need = self.ev.mul(target, self.ev.inv(enc_r))
+            for enc_r, inv_r in self.inverses(right):
+                need = mul(target, inv_r)
                 if need in lhs:
                     return self.factors(left, need) + self.factors(right, enc_r)
         else:
-            for enc_l in lhs:
-                need = self.ev.mul(self.ev.inv(enc_l), target)
+            for enc_l, inv_l in self.inverses(left):
+                need = mul(inv_l, target)
                 if need in rhs:
                     return self.factors(left, enc_l) + self.factors(right, need)
         return None
 
+    def reaches(self, target: Any, k: int) -> bool:
+        """Whether `target` is a product of exactly k palindromes. Builds the
+        same levels as `find`; a level built already answers by membership."""
+        self.ensure((k + 1) // 2)
+        if k < len(self.levels):
+            return target in self.levels[k]
+        return self.find(target, k) is not None
 
-def _check_max_factors(max_factors: int) -> None:
+
+def _check_bounds(max_factors: int, max_len: int) -> None:
     if max_factors < 1:
         raise ValueError("max_factors must be at least 1")
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
 
 
 def pal_length_bounded(
@@ -185,7 +212,7 @@ def pal_length_bounded(
     """Smallest k <= max_factors expressing `target` as a product of k
     enumerated palindromes of length <= max_len, with a verified witness;
     unknown otherwise. Absence is not a proof."""
-    _check_max_factors(max_factors)
+    _check_bounds(max_factors, max_len)
     if target == ev.eval(EMPTY):
         return PalSearchResult(0, (), max_factors, max_len)
     index = _PalProductIndex(ev, max_len, max_states)
@@ -214,24 +241,32 @@ class BallTable:
 
 
 def ball_table(ev: Evaluator, radius: int, max_states: int | None = None) -> BallTable:
-    """Breadth-first closure of generator multiplication from the identity."""
+    """Breadth-first closure of generator multiplication from the identity.
+
+    Each depth extends the previous frontier, in shortlex order, by every
+    letter in letter order, so an element is first reached by its
+    shortlex-first word of minimal length, and the entries come out in
+    (length, shortlex witness) order."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    entries: dict[Any, tuple[int, Word]] = {ev.eval(EMPTY): (0, EMPTY)}
-    frontier: list[Word] = [EMPTY]
-    letters = ev.alphabet.letters()
+    identity = ev.eval(EMPTY)
+    entries: dict[Any, tuple[int, Word]] = {identity: (0, EMPTY)}
+    frontier: list[Any] = [identity]
+    steps = [(c, ev.eval(Word((c,)))) for c in ev.alphabet.letters()]
+    mul = ev.mul
     for depth in range(1, radius + 1):
-        new: list[Word] = []
-        for w in frontier:
+        new: list[Any] = []
+        for enc_w in frontier:
+            w = entries[enc_w][1]
             last = w.letters[-1] if w.letters else None
-            for c in letters:
+            for c, enc_c in steps:
                 if last is not None and c[0] == last[0] and c[1] == -last[1]:
                     continue  # a cancelling letter revisits a shorter element
-                nw = Word(w.letters + (c,))
-                enc = ev.eval(nw)
+                enc = mul(enc_w, enc_c)
                 if enc not in entries:
+                    nw = Word(w.letters + (c,))
                     entries[enc] = (depth, nw)
-                    new.append(nw)
+                    new.append(enc)
                     if max_states is not None and len(entries) > max_states:
                         raise BudgetExceeded("ball table exceeded its state cap", depth - 1)
         frontier = new
@@ -243,8 +278,10 @@ def write_ball_csv(table: BallTable, ev: Evaluator, out) -> None:
     (length, shortlex witness) order."""
     writer = csv.writer(out)
     writer.writerow(["normal_form", "min_length", "witness"])
+    rank = {c: i for i, c in enumerate(ev.alphabet.letters())}.__getitem__
+    # flat (length, rank, rank, ...) keys compare as (length, shortlex_key)
     rows = sorted(
-        table.entries.items(), key=lambda kv: (kv[1][0], shortlex_key(kv[1][1], ev.alphabet))
+        table.entries.items(), key=lambda kv: (kv[1][0], *map(rank, kv[1][1].letters))
     )
     for enc, (length, witness) in rows:
         writer.writerow([str(enc), length, str(witness)])
@@ -259,7 +296,7 @@ def pal_length_histogram(
 ) -> dict[str, int]:
     """Bounded palindromic-length histogram over the ball of the given
     radius; elements not expressible within the bounds count as unknown."""
-    _check_max_factors(max_factors)
+    _check_bounds(max_factors, max_len)
     table = ball_table(ev, radius, max_states)
     index = _PalProductIndex(ev, max_len, max_states)
     identity = ev.eval(EMPTY)
@@ -270,7 +307,7 @@ def pal_length_histogram(
             hist["0"] += 1
             continue
         for k in range(1, max_factors + 1):
-            if index.find(enc, k) is not None:
+            if index.reaches(enc, k):
                 hist[str(k)] += 1
                 break
         else:

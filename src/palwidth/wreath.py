@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .palindromes import (
     CertificateError,
@@ -55,11 +55,9 @@ class SupportVector:
 
     __slots__ = ("_entries", "_key")
 
-    def __init__(
-        self, entries: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()
-    ) -> None:
+    def __init__(self, entries: Union[dict[int, int], Iterable[tuple[int, int]]] = ()) -> None:
         data: dict[int, int] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
+        items = entries.items() if isinstance(entries, dict) else entries
         for i, e in items:
             v = data.get(i, 0) + e
             if v:
@@ -68,6 +66,15 @@ class SupportVector:
                 del data[i]
         self._entries = data
         self._key = tuple(sorted(data.items()))
+
+    @classmethod
+    def _trusted(cls, data: dict[int, int]) -> "SupportVector":
+        """Wrap a dict that already holds only nonzero entries, skipping
+        the normalising pass; the vector takes ownership of the dict."""
+        vec = object.__new__(cls)
+        vec._entries = data
+        vec._key = tuple(sorted(data.items()))
+        return vec
 
     @classmethod
     def unit(cls, index: int, exponent: int = 1) -> "SupportVector":
@@ -93,17 +100,22 @@ class SupportVector:
         return f"SupportVector({dict(self._key)!r})"
 
     def __add__(self, other: "SupportVector") -> "SupportVector":
+        return self.add_shifted(other, 0)
+
+    def add_shifted(self, other: "SupportVector", k: int) -> "SupportVector":
+        """self + other.shift(k), built in one pass."""
         merged = dict(self._entries)
         for i, e in other._entries.items():
+            i += k
             v = merged.get(i, 0) + e
             if v:
                 merged[i] = v
             else:
                 del merged[i]
-        return SupportVector(merged)
+        return SupportVector._trusted(merged)
 
     def __neg__(self) -> "SupportVector":
-        return SupportVector({i: -e for i, e in self._entries.items()})
+        return SupportVector._trusted({i: -e for i, e in self._entries.items()})
 
     def __sub__(self, other: "SupportVector") -> "SupportVector":
         return self + (-other)
@@ -112,11 +124,11 @@ class SupportVector:
         """Conjugate by b^k: the entry at index i moves to index i + k."""
         if k == 0:
             return self
-        return SupportVector({i + k: e for i, e in self._entries.items()})
+        return SupportVector._trusted({i + k: e for i, e in self._entries.items()})
 
     def mirror(self) -> "SupportVector":
         """Image under the reversal anti-automorphism: a_i maps to a_-i."""
-        return SupportVector({-i: e for i, e in self._entries.items()})
+        return SupportVector._trusted({-i: e for i, e in self._entries.items()})
 
     def exponent_sum(self) -> int:
         """Sum of all exponents; vanishes exactly on derived-subgroup tails."""
@@ -134,7 +146,7 @@ class WreathElement:
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         return WreathElement(
-            self.tail + other.tail.shift(-self.shift), self.shift + other.shift
+            self.tail.add_shifted(other.tail, -self.shift), self.shift + other.shift
         )
 
     def inverse(self) -> "WreathElement":
@@ -192,7 +204,7 @@ def evaluate(w: Word) -> WreathElement:
             shift += sign
         else:
             raise ValueError(f"word is not over the alphabet {{a, b}}: {gen!r}")
-    return WreathElement(SupportVector(tail), shift)
+    return WreathElement(SupportVector._trusted(tail), shift)
 
 
 def reversal_image(g: WreathElement) -> WreathElement:

@@ -136,7 +136,7 @@ class TestBoundedPalindromeSearch:
     """One palindrome is a k = 1 query on the search engine."""
 
     def test_identity(self):
-        res = pal_length_bounded(evaluator(2), BSElement.identity(2), 1, 0)
+        res = pal_length_bounded(evaluator(2), BSElement.identity(2), 1, 1)
         assert res.k == 0 and res.factors == ()
 
     def test_witness_re_evaluates(self):

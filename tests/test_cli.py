@@ -166,6 +166,15 @@ class TestExplore:
         assert code == 2 and out == ""
         assert err == "error: max_factors must be at least 1\n"
 
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    def test_histogram_needs_a_palindrome_length(self, capsys, max_len):
+        code, out, err = run(
+            capsys, "explore", "--group", "heis", "--max-len", max_len, "--max-factors", "2",
+            "--radius", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: max_len must be at least 1\n"
+
     def test_usage_error_without_mode(self, capsys):
         code, _, _ = run(capsys, "explore", "--group", "heis")
         assert code == 2

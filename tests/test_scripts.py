@@ -32,3 +32,17 @@ def test_script_runs_outside_the_repo(tmp_path, script, args, facts):
     reported = [line for line in proc.stdout.splitlines() if line.startswith("[")]
     assert len(reported) == facts
     assert all(line.startswith("[PASS]") for line in reported)
+
+
+@pytest.mark.parametrize("bound", ["--max-len", "--max-factors"])
+def test_census_rejects_an_empty_search(bound):
+    args = {"--max-len": "4", "--max-factors": "2", bound: "0"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ball_census.py"), "--radius", "1",
+         *(x for kv in args.items() for x in kv)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert f"{bound[2:].replace('-', '_')} must be at least 1" in proc.stderr

@@ -21,6 +21,34 @@ def w(text):
     return parse(text, AB)
 
 
+GROUPS = (wreath.evaluator(), heisenberg.evaluator(), baumslag.evaluator(2))
+
+
+def brute_ball(ev, radius):
+    """Minimal length and shortlex-first witness of every element, found by
+    evaluating every reduced word of length <= radius."""
+    ball = {}
+    for n in range(radius + 1):
+        for word in enumerate_reduced_words(ev.alphabet, n):
+            ball.setdefault(ev.eval(word), (n, word))
+    return ball
+
+
+def brute_pal_lengths(ev, max_factors, max_len):
+    """Least k for every element that is a product of k <= max_factors
+    palindromes of length <= max_len. Evaluates each concatenation of
+    factors as a word, never touching the engine's mul/inv join."""
+    pals = [p for p in enumerate_palindromes(ev.alphabet, max_len) if p]
+    least = {ev.eval(EMPTY): 0}
+    for k in range(1, max_factors + 1):
+        for factors in itertools.product(pals, repeat=k):
+            product = Word()
+            for f in factors:
+                product = product * f
+            least.setdefault(ev.eval(product), k)
+    return least
+
+
 class TestEnumeration:
     def test_length_one(self):
         got = [str(p) for p in enumerate_palindromes(AB, 1)]
@@ -82,15 +110,15 @@ class TestBallTable:
             assert len(witness) == length
             assert wreath.evaluate(witness) == enc
 
-    def test_against_brute_force_oracle(self):
+    @pytest.mark.parametrize("ev", GROUPS, ids=lambda ev: ev.label)
+    def test_against_brute_force_oracle(self, ev):
         # oracle: minimal length and shortlex-first witness over all reduced words
-        ev = heisenberg.evaluator()
-        brute = {}
-        for n in range(4):
-            for word in enumerate_reduced_words(AB, n):
-                brute.setdefault(ev.eval(word), (n, word))
-        table = ball_table(ev, 3)
-        assert table.entries == brute
+        table = ball_table(ev, 5)
+        assert table.entries == brute_ball(ev, 5)
+        # the BFS inserts in (length, shortlex witness) order, which the
+        # multiplication BFS relies on to keep shortlex-first witnesses
+        order = [(n, shortlex_key(word, ev.alphabet)) for n, word in table.entries.values()]
+        assert order == sorted(order)
 
     def test_determinism(self):
         ev = baumslag.evaluator(2)
@@ -169,23 +197,19 @@ class TestPalLengthBounded:
         assert r1 == r2
 
     def test_minimal_k_matches_brute_force_products(self):
-        # oracle: evaluate the concatenation of every tuple of <= 3 short
-        # palindromes as a word, never touching the engine's mul/inv join
         for ev in (heisenberg.evaluator(), baumslag.evaluator(2)):
-            pals = [p for p in enumerate_palindromes(ev.alphabet, 4) if p]
-            least = {ev.eval(EMPTY): 0}
-            for k in (1, 2, 3):
-                for factors in itertools.product(pals, repeat=k):
-                    product = Word()
-                    for f in factors:
-                        product = product * f
-                    least.setdefault(ev.eval(product), k)
+            least = brute_pal_lengths(ev, 3, 4)
             for enc in ball_table(ev, 3).entries:
                 assert pal_length_bounded(ev, enc, 3, 4).k == least.get(enc), (ev.label, enc)
 
     def test_requires_positive_factors(self):
         with pytest.raises(ValueError):
             pal_length_bounded(heisenberg.evaluator(), HeisElement(0, 0, 1), 0, 4)
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_requires_a_palindrome_length(self, max_len):
+        with pytest.raises(ValueError, match="max_len must be at least 1"):
+            pal_length_bounded(heisenberg.evaluator(), HeisElement(0, 0, 1), 2, max_len)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -203,3 +227,37 @@ class TestHistogram:
         # within the radius-3 ball every element splits into <= 3 short palindromes
         hist = pal_length_histogram(heisenberg.evaluator(), 3, 3, 6)
         assert hist["unknown"] == 0
+
+    @pytest.mark.parametrize("ev", GROUPS, ids=lambda ev: ev.label)
+    def test_against_brute_force_products(self, ev):
+        least = brute_pal_lengths(ev, 3, 4)
+        for radius in range(5):
+            expected = {str(k): 0 for k in range(4)}
+            expected["unknown"] = 0
+            for enc in brute_ball(ev, radius):
+                expected[str(least.get(enc, "unknown"))] += 1
+            assert pal_length_histogram(ev, radius, 3, 4) == expected, radius
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_requires_a_palindrome_length(self, max_len):
+        with pytest.raises(ValueError, match="max_len must be at least 1"):
+            pal_length_histogram(heisenberg.evaluator(), 1, 2, max_len)
+
+    def test_budget_counts_only_the_levels_a_target_needs(self):
+        # heis, max_len 4: |L1| = 28 and |L2| = 533 palindrome products, and
+        # the balls of radius 3 and 4 have 53 and 135 elements. Level 2 is
+        # built only for a target that reaches k = 3, and no element of the
+        # radius-3 ball does, so a cap of 200 suffices there.
+        ev = heisenberg.evaluator()
+        hist = pal_length_histogram(ev, 3, 3, 4, max_states=200)
+        assert hist == {"0": 1, "1": 20, "2": 32, "3": 0, "unknown": 0}
+        # two radius-4 elements need three factors, which builds level 2
+        with pytest.raises(BudgetExceeded) as exc:
+            pal_length_histogram(ev, 4, 3, 4, max_states=200)
+        assert exc.value.completed == 1
+
+    def test_budget_below_the_first_level(self):
+        # the radius-2 ball (17 elements) fits under the cap, level 1 does not
+        with pytest.raises(BudgetExceeded) as exc:
+            pal_length_histogram(heisenberg.evaluator(), 2, 3, 4, max_states=20)
+        assert exc.value.completed == 0

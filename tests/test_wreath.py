@@ -60,6 +60,27 @@ class TestSupportVector:
         assert f - f == SupportVector()
         assert -f == SupportVector({0: -1, 2: 1})
 
+    @given(
+        st.dictionaries(st.integers(-4, 4), st.integers(-3, 3)),
+        st.dictionaries(st.integers(-4, 4), st.integers(-3, 3)),
+        st.integers(-3, 3),
+    )
+    def test_arithmetic_matches_normalised_construction(self, f_raw, g_raw, k):
+        # results built without the normalising pass hold no zero entries
+        # and equal (and hash as) the vectors normalised from scratch
+        f, g = SupportVector(f_raw), SupportVector(g_raw)
+        cases = [
+            (f + g, list(f.items()) + list(g.items())),
+            (f.add_shifted(g, k), list(f.items()) + [(i + k, e) for i, e in g.items()]),
+            (-f, [(i, -e) for i, e in f.items()]),
+            (f.shift(k), [(i + k, e) for i, e in f.items()]),
+            (f.mirror(), [(-i, e) for i, e in f.items()]),
+        ]
+        for got, pairs in cases:
+            expected = SupportVector(pairs)
+            assert got == expected and hash(got) == hash(expected)
+            assert all(e for _, e in got.items())
+
 
 class TestEvaluate:
     def test_generators(self):
