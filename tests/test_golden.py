@@ -31,6 +31,14 @@ CASES = {
         ["decompose", "--group", "bs:3", '{"num": 5, "den_exp": 2, "dil": -1, "n": 3}', "--recheck"],
         0,
     ),
+    "decompose_bs3_conjugate_recheck": (
+        ["decompose", "--group", "bs:3", "t^-11 a t^11", "--recheck"],
+        0,
+    ),
+    "decompose_wreath_far_lamp_recheck": (
+        ["decompose", "--group", "wreath", '{"support": {"-3": 1, "203": -2}, "shift": -4}', "--recheck"],
+        0,
+    ),
     "witness": (["witness", '{"support": {"0": -1, "1": 1}, "shift": 0}'], 0),
     "verify_wreath_hom": (["verify", "wreath-hom", "--cases", "50"], 0),
     "explore_wreath_ball": (["explore", "--group", "wreath", "--radius", "3"], 0),
