@@ -8,12 +8,36 @@ Example:
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from palwidth.cli import lookup_group
-from palwidth.search import ball_table, pal_length_histogram
+from palwidth.search import BudgetExceeded, ball_table, pal_length_histogram
+
+
+def census(ev, args) -> None:
+    # one breadth-first search gives every radius: the ball of radius r
+    # holds the entries of length <= r
+    table = ball_table(ev, args.radius, max_states=args.budget)
+    per_length = Counter(length for length, _ in table.entries.values())
+    print(f"# ball growth, group={args.group}")
+    print("radius,elements")
+    elements = 0
+    for r in range(args.radius + 1):
+        elements += per_length[r]
+        print(f"{r},{elements}")
+
+    if args.max_len is not None and args.max_factors is not None:
+        hist = pal_length_histogram(
+            ev, args.radius, args.max_factors, args.max_len, max_states=args.budget
+        )
+        print(f"# palindromic length within radius {args.radius}, "
+              f"factors <= {args.max_factors}, palindrome length <= {args.max_len}")
+        print("pal_length,count")
+        for key, count in hist.items():
+            print(f"{key},{count}")
 
 
 def main():
@@ -25,28 +49,14 @@ def main():
     parser.add_argument("--budget", type=int, default=2_000_000)
     args = parser.parse_args()
     try:
-        ev = lookup_group(args.group)
+        census(lookup_group(args.group), args)
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         parser.error(str(exc))
-
-    print(f"# ball growth, group={args.group}")
-    print("radius,elements")
-    for r in range(args.radius + 1):
-        print(f"{r},{len(ball_table(ev, r, max_states=args.budget))}")
-
-    if args.max_len is not None and args.max_factors is not None:
-        try:
-            hist = pal_length_histogram(
-                ev, args.radius, args.max_factors, args.max_len, max_states=args.budget
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(f"# palindromic length within radius {args.radius}, "
-              f"factors <= {args.max_factors}, palindrome length <= {args.max_len}")
-        print("pal_length,count")
-        for key, count in hist.items():
-            print(f"{key},{count}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

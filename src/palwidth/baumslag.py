@@ -23,7 +23,7 @@ from .palindromes import (
     SelfCheckError,
     check_in_group,
 )
-from .search import Evaluator
+from .search import Evaluator, check_input_span
 from .words import AT, Word, run_word
 
 
@@ -94,24 +94,20 @@ class BSElement:
 
 
 def evaluate(w: Word, n: int) -> BSElement:
-    # fold run by run: normal forms carry a^l blocks with huge l, and a run
-    # is a single multiplication (a^e adds e, t^e scales by n^e)
+    # fold syllable by syllable: normal forms carry a^l blocks with huge l,
+    # and a syllable is a single multiplication (a^e adds e, t^e scales by
+    # n^e); the numbers grow like n^(total |t|-exponent), which is capped
+    check_input_span(
+        sum(abs(e) for g, e in w.syllables if g == "t"), "total |t|-exponent of the word"
+    )
     out = BSElement.identity(n)
-    letters = w.letters
-    i, size = 0, len(letters)
-    while i < size:
-        gen, sign = letters[i]
-        j = i
-        while j < size and letters[j] == (gen, sign):
-            j += 1
-        exp = sign * (j - i)
+    for gen, exp in w.syllables:
         if gen == "a":
             out = out * BSElement(exp, 0, 0, n)
         elif gen == "t":
             out = out * BSElement(0, 0, exp, n)
         else:
             raise ValueError(f"word is not over the alphabet {{a, t}}: {gen!r}")
-        i = j
     return out
 
 
@@ -125,6 +121,9 @@ def normal_form(g: BSElement) -> tuple[int, int, int]:
     """
     m = max(g.den_exp, -g.dil)
     k = g.dil + m
+    # no word for g has a smaller total |t|-exponent than k + m, so an
+    # element evaluated from a word under the cap stays under it here
+    check_input_span(k + m, "total |t|-exponent of the normal form")
     l = g.num * g.n ** (m - g.den_exp)
     if evaluate(normal_form_word(k, l, m), g.n) != g:
         raise SelfCheckError("normal form failed re-evaluation")

@@ -69,12 +69,12 @@ class HeisElement:
 def evaluate(w: Word) -> HeisElement:
     """Image of a word over {a, b} under a -> (1,0,0), b -> (0,1,0)."""
     x = y = z = 0
-    for gen, sign in w:
+    for gen, exp in w.syllables:
         if gen == "a":
-            z += sign * y
-            x += sign
+            z += exp * y
+            x += exp
         elif gen == "b":
-            y += sign
+            y += exp
         else:
             raise ValueError(f"word is not over the alphabet {{a, b}}: {gen!r}")
     return HeisElement(x, y, z)

@@ -54,18 +54,19 @@ class PalindromicDecomposition:
 
 def _check_factors(dec: PalindromicDecomposition) -> Word:
     """Shared factor checks; returns the reduced factor product."""
+    names = dec.context.names
     product = Word()
     for f in dec.factors:
         if not f:
             raise CertificateError("certificate contains an empty factor")
         if not f.is_palindrome():
             raise CertificateError(f"factor {str(f)!r} is not a palindrome")
-        for gen, _ in f:
-            if gen not in dec.context:
+        for gen, _ in f.syllables:
+            if gen not in names:
                 raise CertificateError(f"factor letter {gen!r} outside the alphabet")
         product = product * f
-    for gen, _ in dec.target:
-        if gen not in dec.context:
+    for gen, _ in dec.target.syllables:
+        if gen not in names:
             raise CertificateError(f"target letter {gen!r} outside the alphabet")
     if dec.target and not dec.factors:
         raise CertificateError("nonempty target with no factors")

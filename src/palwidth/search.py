@@ -28,16 +28,32 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from .palindromes import PalindromicDecomposition
-from .words import EMPTY, Alphabet, Word
+from .words import EMPTY, Alphabet, Word, reduce
 
 
 class BudgetExceeded(RuntimeError):
-    """A search hit its state cap; `completed` is the last finished depth
-    (product depth or BFS radius)."""
+    """A search hit its state cap, or an input is over `MAX_INPUT_SPAN`;
+    `completed` is a search's last finished depth (product depth or BFS
+    radius), None for an input."""
 
-    def __init__(self, message: str, completed: int) -> None:
-        super().__init__(f"{message} (completed depth {completed})")
+    def __init__(self, message: str, completed: int | None = None) -> None:
+        if completed is not None:
+            message = f"{message} (completed depth {completed})"
+        super().__init__(message)
         self.completed = completed
+
+
+# The largest lamp span plus |shift| of a Z wr Z element, and the largest
+# total |t|-exponent of a BS(1, n) word or normal form, that the certificate
+# and witness routines accept. Their work grows with these numbers (a loop
+# over the lamps, a power n^k), not with the length of the input text.
+MAX_INPUT_SPAN = 100_000
+
+
+def check_input_span(span: int, what: str) -> None:
+    """Raise BudgetExceeded when `span` is over MAX_INPUT_SPAN."""
+    if span > MAX_INPUT_SPAN:
+        raise BudgetExceeded(f"{what} is {span}, over the input cap of {MAX_INPUT_SPAN}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +73,7 @@ def enumerate_reduced_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
 
     def extend(prefix: list) -> Iterator[Word]:
         if len(prefix) == length:
-            yield Word(tuple(prefix))
+            yield reduce(prefix)
             return
         last = prefix[-1] if prefix else None
         for c in letters:
@@ -79,21 +95,22 @@ def enumerate_palindromes(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     cancels); odd length additionally takes a center letter that must not
     cancel against the half's last letter.
     """
+    centers = [Word((c,)) for c in alphabet.letters()]
     for n in range(max_len + 1):
         half = n // 2
         if n % 2 == 0:
             for u in enumerate_reduced_words(alphabet, half):
-                yield Word(u.letters + tuple(reversed(u.letters)))
+                yield u * u.reverse()
         elif n == 1:
-            for c in alphabet.letters():
-                yield Word((c,))
+            yield from centers
         else:
             for u in enumerate_reduced_words(alphabet, half):
-                last = u.letters[-1]
-                for c in alphabet.letters():
-                    if c[0] == last[0] and c[1] == -last[1]:
+                last_gen, last_exp = u.syllables[-1]
+                for c in centers:
+                    gen, sign = c.syllables[0]
+                    if gen == last_gen and (sign > 0) != (last_exp > 0):
                         continue
-                    yield Word(u.letters + (c,) + tuple(reversed(u.letters)))
+                    yield u * c * u.reverse()
 
 
 @dataclass(frozen=True)
@@ -257,14 +274,18 @@ def ball_table(ev: Evaluator, radius: int, max_states: int | None = None) -> Bal
     for depth in range(1, radius + 1):
         new: list[Any] = []
         for enc_w in frontier:
-            w = entries[enc_w][1]
-            last = w.letters[-1] if w.letters else None
+            syls = entries[enc_w][1].syllables
+            last_gen, last_exp = syls[-1] if syls else (None, 0)
             for c, enc_c in steps:
-                if last is not None and c[0] == last[0] and c[1] == -last[1]:
+                gen, sign = c
+                if gen == last_gen and (last_exp > 0) != (sign > 0):
                     continue  # a cancelling letter revisits a shorter element
                 enc = mul(enc_w, enc_c)
                 if enc not in entries:
-                    nw = Word(w.letters + (c,))
+                    if gen == last_gen:  # the letter lengthens the last syllable
+                        nw = Word(syls[:-1] + ((gen, last_exp + sign),))
+                    else:
+                        nw = Word(syls + (c,))
                     entries[enc] = (depth, nw)
                     new.append(enc)
                     if max_states is not None and len(entries) > max_states:
@@ -275,15 +296,11 @@ def ball_table(ev: Evaluator, radius: int, max_states: int | None = None) -> Bal
 
 def write_ball_csv(table: BallTable, ev: Evaluator, out) -> None:
     """CSV with columns normal_form, min_length, witness, in deterministic
-    (length, shortlex witness) order."""
+    (length, shortlex witness) order, which is the order `ball_table`
+    inserts its entries in; `ev` is not needed for that."""
     writer = csv.writer(out)
     writer.writerow(["normal_form", "min_length", "witness"])
-    rank = {c: i for i, c in enumerate(ev.alphabet.letters())}.__getitem__
-    # flat (length, rank, rank, ...) keys compare as (length, shortlex_key)
-    rows = sorted(
-        table.entries.items(), key=lambda kv: (kv[1][0], *map(rank, kv[1][1].letters))
-    )
-    for enc, (length, witness) in rows:
+    for enc, (length, witness) in table.entries.items():
         writer.writerow([str(enc), length, str(witness)])
 
 

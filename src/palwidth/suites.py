@@ -51,7 +51,7 @@ def mat_of_heis(h: heisenberg.HeisElement) -> Matrix:
 def mat_eval(w: Word) -> Matrix:
     out = MAT_IDENTITY
     gens = {"a": MAT_A, "b": MAT_B}
-    for gen, sign in w:
+    for gen, sign in w.letters:
         m = gens[gen]
         out = mat_mul(out, m if sign > 0 else mat_inv(m))
     return out
@@ -66,7 +66,7 @@ def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> 
     for _ in range(length):
         choices = [c for c in letters if not out or c != (out[-1][0], -out[-1][1])]
         out.append(rng.choice(choices))
-    return Word(tuple(out))
+    return reduce(out)
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, max_len: int) -> Word:
@@ -80,8 +80,8 @@ def random_palindrome(rng: random.Random, alphabet: Alphabet, max_len: int) -> W
         center = rng.choice(alphabet.letters())
         if letters and center == (letters[-1][0], -letters[-1][1]):
             center = letters[-1]
-        return Word(letters + (center,) + tuple(reversed(letters)))
-    return Word(letters + tuple(reversed(letters)))
+        return reduce(letters + (center,) + letters[::-1])
+    return reduce(letters + letters[::-1])
 
 
 def random_support(

@@ -1,22 +1,32 @@
-"""Freely reduced words over a signed generator alphabet.
+"""Freely reduced words over a signed generator alphabet, stored as syllables.
 
 Words are the common currency of the package: every factorization
 certificate, search witness and CLI argument is ultimately a word. A word
-is stored fully expanded, one entry per letter; desk-scale inputs stay
-short, so no run-length compression is attempted.
+is stored as its syllables ((gen, exp), ...): maximal runs of one
+generator, each with a nonzero integer exponent, no two neighbours
+sharing a generator. The certificates of the paper have few syllables and
+huge exponents (a^(n^m) in BS(1, n)), so `a^200000000` is a single
+syllable, and parsing, formatting, products, inversion, reversal and the
+palindrome test cost time in the number of syllables, not letters. `len`
+still counts letters; `.letters` expands a word one entry per letter, for
+short-word code such as enumerators and oracles. Words are deliberately
+not iterable: a caller picks `.syllables` or `.letters`.
 
 A word is a *palindrome* when it equals its own letter reversal, signs
-included. Free reduction commutes with reversal, so reducing a symmetric
-letter sequence always yields a symmetric word; constructions elsewhere
-rely on that and the test suite fuzzes it.
+included; since every syllable is a run of one letter, that is the case
+exactly when the syllable sequence reads the same backwards. Free
+reduction commutes with reversal, so reducing a symmetric letter sequence
+always yields a symmetric word; constructions elsewhere rely on that and
+the test suite fuzzes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Letter = tuple[str, int]  # (generator name, +1 or -1)
+Syllable = tuple[str, int]  # (generator name, nonzero exponent)
 
 
 class ParseError(ValueError):
@@ -48,9 +58,6 @@ class Alphabet:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate generator name")
 
-    def __contains__(self, name: object) -> bool:
-        return name in self.names
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -74,49 +81,80 @@ AB = Alphabet(("a", "b"))
 AT = Alphabet(("a", "t"))
 
 
-def _reduced(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
-    for gen, sign in letters:
-        if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
-            stack.pop()
+def _fold(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
+    """Freely reduce a sequence of (gen, exp) pairs, letters included:
+    merge neighbours that share a generator, drop zero exponents, and let
+    the cancellation cascade."""
+    stack: list[Syllable] = []
+    for gen, exp in syllables:
+        if not exp:
+            continue
+        if stack and stack[-1][0] == gen:
+            exp += stack[-1][1]
+            if exp:
+                stack[-1] = (gen, exp)
+            else:
+                stack.pop()
         else:
-            stack.append((gen, sign))
+            stack.append((gen, exp))
     return tuple(stack)
 
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word. Build via `reduce`/`parse` or the operators;
-    the constructor rejects unreduced letter tuples."""
+    """A freely reduced word. Build via `reduce`/`parse`/`run_word` or the
+    operators; the constructor rejects syllables with a zero exponent and
+    neighbouring syllables that share a generator."""
 
-    letters: tuple[Letter, ...] = ()
+    syllables: tuple[Syllable, ...] = ()
 
     def __post_init__(self) -> None:
-        for left, right in zip(self.letters, self.letters[1:]):
-            if left[0] == right[0] and left[1] == -right[1]:
-                raise ValueError(f"letter sequence is not freely reduced at {left} {right}")
+        prev = None
+        for gen, exp in self.syllables:
+            if not exp:
+                raise ValueError(f"syllable {gen}^0 has a zero exponent")
+            if gen == prev:
+                raise ValueError(f"neighbouring syllables share the generator {gen!r}")
+            prev = gen
+
+    @classmethod
+    def _trusted(cls, syllables: tuple[Syllable, ...]) -> "Word":
+        """Wrap syllables that are reduced by construction, skipping the
+        constructor's check."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "syllables", syllables)
+        return word
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The word expanded to one (gen, +1 or -1) entry per letter."""
+        out: list[Letter] = []
+        for gen, exp in self.syllables:
+            out += [(gen, 1 if exp > 0 else -1)] * abs(exp)
+        return tuple(out)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        """The number of letters."""
+        return sum(abs(exp) for _, exp in self.syllables)
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+        return bool(self.syllables)
 
     def __mul__(self, other: "Word") -> "Word":
-        # both operands are reduced, so cancellation happens only at the seam
-        left, right = self.letters, other.letters
+        # both operands are reduced, so cancellation happens only at the
+        # seam: merge the two syllables there, cascading while they cancel
+        left, right = self.syllables, other.syllables
         i, j, n = len(left), 0, len(right)
         while i > 0 and j < n:
-            a, b = left[i - 1], right[j]
-            if a[0] == b[0] and a[1] == -b[1]:
-                i -= 1
-                j += 1
-            else:
+            gen, exp = left[i - 1]
+            if right[j][0] != gen:
                 break
-        return Word(left[:i] + right[j:])
+            exp += right[j][1]
+            if exp:
+                return Word._trusted(left[: i - 1] + ((gen, exp),) + right[j + 1 :])
+            i -= 1
+            j += 1
+        return Word._trusted(left[:i] + right[j:])
 
     def __pow__(self, m: int) -> "Word":
         base = self if m >= 0 else self.inverse()
@@ -127,14 +165,14 @@ class Word:
 
     def inverse(self) -> "Word":
         """Group inverse: reversed order, all signs flipped."""
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return Word._trusted(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def reverse(self) -> "Word":
         """Letter reversal, each letter keeping its own sign."""
-        return Word(tuple(reversed(self.letters)))
+        return Word._trusted(self.syllables[::-1])
 
     def is_palindrome(self) -> bool:
-        return self.letters == tuple(reversed(self.letters))
+        return self.syllables == self.syllables[::-1]
 
     def __str__(self) -> str:
         return format_word(self)
@@ -146,40 +184,63 @@ class Word:
 EMPTY = Word()
 
 
-def reduce(letters: Iterable[Letter]) -> Word:
-    """Freely reduce an arbitrary letter sequence. Idempotent."""
-    return Word(_reduced(letters))
+def reduce(syllables: Iterable[Syllable]) -> Word:
+    """Freely reduce an arbitrary sequence of letters or (gen, exp)
+    syllables. Idempotent."""
+    return Word._trusted(_fold(syllables))
 
 
 def run_word(gen: str, exponent: int) -> Word:
     """The word gen^exponent (empty when exponent is 0)."""
-    sign = 1 if exponent > 0 else -1
-    return Word(((gen, sign),) * abs(exponent))
+    return Word(((gen, exponent),)) if exponent else EMPTY
 
 
 def shortlex_key(w: Word, alphabet: Alphabet):
-    return (len(w.letters), tuple(alphabet.letter_key(l) for l in w.letters))
+    return (len(w), tuple(alphabet.letter_key(l) for l in w.letters))
 
 
 def parse(text: str, alphabet: Alphabet) -> Word:
     """Parse word text: tokens are a generator letter with an optional
     ^exponent; uppercase letters abbreviate inverses (`A` = `a^-1`);
-    whitespace is optional. The result is freely reduced."""
-    letters: list[Letter] = []
+    whitespace is optional. Each token becomes one syllable, and the
+    result is freely reduced."""
+    # certificates repeat a handful of tokens ("b^-1 a^2 b^-1 ..."), so
+    # each distinct whitespace-separated chunk is scanned once
+    scanned: dict[str, list[Syllable]] = {}
+    syllables: list[Syllable] = []
+    for chunk in text.split():
+        syls = scanned.get(chunk)
+        if syls is None:
+            try:
+                syls = scanned[chunk] = _scan(chunk, alphabet)
+            except ParseError:
+                _scan(text, alphabet)  # raises it again, positioned in `text`
+                raise
+        syllables += syls
+    return reduce(syllables)
+
+
+def _scan(text: str, alphabet: Alphabet) -> list[Syllable]:
+    names = alphabet.names
+    signed = {name: (name, 1) for name in names}
+    signed.update((name.upper(), (name, -1)) for name in names)
+    syllables: list[Syllable] = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        base = c.lower()
-        if not c.isalpha():
-            raise ParseError(f"unexpected character {c!r}", i)
-        if base not in alphabet:
-            raise ParseError(f"unknown generator {c!r}", i)
-        sign = 1 if c.islower() else -1
+        letter = signed.get(c)
+        if letter is None:
+            if c.isspace():
+                i += 1
+                continue
+            if not c.isalpha():
+                raise ParseError(f"unexpected character {c!r}", i)
+            base = c.lower()
+            if base not in names:
+                raise ParseError(f"unknown generator {c!r}", i)
+            letter = (base, 1 if c.islower() else -1)
         i += 1
-        count = 1
+        exp = 1
         if i < n and text[i] == "^":
             start = i
             i += 1
@@ -193,32 +254,12 @@ def parse(text: str, alphabet: Alphabet) -> Word:
                 raise ParseError("expected an integer exponent after '^'", start)
             exp = int(text[i:k])
             i = k
-            if exp < 0:
-                sign, count = -sign, -exp
-            else:
-                count = exp
-        letters.extend([(base, sign)] * count)
-    return Word(_reduced(letters))
+        syllables.append((letter[0], letter[1] * exp))
+    return syllables
 
 
 def format_word(w: Word) -> str:
-    """Canonical text form: runs collapsed to `g^k`, space separated,
-    empty word rendered as the empty string. parse(format(w)) == w."""
-    if not w.letters:
-        return ""
-    parts: list[str] = []
-    run_letter, run = w.letters[0], 1
-    for letter in w.letters[1:]:
-        if letter == run_letter:
-            run += 1
-        else:
-            parts.append(_token(run_letter, run))
-            run_letter, run = letter, 1
-    parts.append(_token(run_letter, run))
-    return " ".join(parts)
-
-
-def _token(letter: Letter, run: int) -> str:
-    gen, sign = letter
-    exp = run * sign
-    return gen if exp == 1 else f"{gen}^{exp}"
+    """Canonical text form: one `g^k` token per syllable (`g` alone when
+    k is 1), space separated, the empty word rendered as the empty string.
+    parse(format(w)) == w."""
+    return " ".join(gen if exp == 1 else f"{gen}^{exp}" for gen, exp in w.syllables)

@@ -42,8 +42,8 @@ from .palindromes import (
     SelfCheckError,
     check_in_group,
 )
-from .search import Evaluator
-from .words import AB, Word, run_word
+from .search import Evaluator, check_input_span
+from .words import AB, Word, reduce, run_word
 
 
 class NotInDerivedError(ValueError):
@@ -192,16 +192,16 @@ def evaluate(w: Word) -> WreathElement:
     """Image of a word over {a, b} under a -> unit lamp at 0, b -> shift 1."""
     tail: dict[int, int] = {}
     shift = 0
-    for gen, sign in w:
+    for gen, exp in w.syllables:
         if gen == "a":
             i = -shift
-            v = tail.get(i, 0) + sign
+            v = tail.get(i, 0) + exp
             if v:
                 tail[i] = v
             else:
                 del tail[i]
         elif gen == "b":
-            shift += sign
+            shift += exp
         else:
             raise ValueError(f"word is not over the alphabet {{a, b}}: {gen!r}")
     return WreathElement(SupportVector._trusted(tail), shift)
@@ -215,16 +215,15 @@ def reversal_image(g: WreathElement) -> WreathElement:
 
 def support_word(tail: SupportVector) -> Word:
     """Canonical word for a tail: ascending lamp walk with blocks
-    b^-i a^(n_i) b^i and the b-travel between blocks fused."""
-    letters: list[tuple[str, int]] = []
+    b^-i a^(n_i) b^i and the b-travel between blocks fused; one syllable
+    per block and per travel."""
+    syllables: list[tuple[str, int]] = []
     pos = 0
     for i, e in tail.items():
-        travel = pos - i
-        letters.extend([("b", 1 if travel > 0 else -1)] * abs(travel))
-        letters.extend([("a", 1 if e > 0 else -1)] * abs(e))
+        syllables += [("b", pos - i), ("a", e)]
         pos = i
-    letters.extend([("b", 1 if pos > 0 else -1)] * abs(pos))
-    return Word(tuple(letters))
+    syllables.append(("b", pos))
+    return reduce(syllables)
 
 
 def to_word(g: WreathElement) -> Word:
@@ -234,6 +233,15 @@ def to_word(g: WreathElement) -> Word:
 def commutator_with_b(f: SupportVector) -> WreathElement:
     """[f, b] = f^-1 * f^b as an element."""
     return WreathElement(f.shift(1) - f, 0)
+
+
+def _check_span(g: WreathElement) -> None:
+    """Raise BudgetExceeded when the lamps of g, with index 0, span more
+    than the input cap once |shift| is added."""
+    items = g.tail.items()
+    lo = min(0, items[0][0]) if items else 0
+    hi = max(0, items[-1][0]) if items else 0
+    check_input_span(hi - lo + abs(g.shift), "lamp span plus |shift|")
 
 
 def commutator_witness(g: WreathElement) -> SupportVector:
@@ -247,6 +255,11 @@ def commutator_witness(g: WreathElement) -> SupportVector:
         raise NotInDerivedError(
             "element is not in the derived subgroup (needs shift 0 and exponent sum 0)"
         )
+    _check_span(g)
+    return _solve_commutator(g)
+
+
+def _solve_commutator(g: WreathElement) -> SupportVector:
     items = g.tail.items()
     if not items:
         return SupportVector()
@@ -287,6 +300,7 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
     subgroup is abelian. Elements whose canonical word is already a
     palindrome are returned as a single factor.
     """
+    _check_span(g)
     canonical = to_word(g)
     if canonical.is_palindrome():
         factors: tuple[Word, ...] = (canonical,) if canonical else ()
@@ -296,7 +310,7 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
     k = g.tail.exponent_sum()
     l = g.shift
     derived_tail = (g.tail - SupportVector.unit(1, k)).shift(l)
-    f = commutator_witness(WreathElement(derived_tail, 0)).shift(-l)
+    f = _solve_commutator(WreathElement(derived_tail, 0)).shift(-l)
     w_pos = support_word(f)
     w_neg = support_word(-f)
     b_inv = run_word("b", -1)

@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 
-from palwidth.words import AB, Alphabet, Word, reduce
+from palwidth.words import AB, Alphabet, reduce
 
 
 def letters(alphabet: Alphabet = AB):
@@ -25,7 +25,7 @@ def palindromes(draw, alphabet: Alphabet = AB, max_half: int = 5):
     center = draw(st.none() | letters(alphabet))
     ls = half.letters
     if center is None:
-        return Word(ls + tuple(reversed(ls)))
+        return reduce(ls + ls[::-1])
     if ls and center == (ls[-1][0], -ls[-1][1]):
         center = ls[-1]
-    return Word(ls + (center,) + tuple(reversed(ls)))
+    return reduce(ls + (center,) + ls[::-1])

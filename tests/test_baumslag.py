@@ -13,7 +13,7 @@ from palwidth.baumslag import (
 )
 from palwidth.palindromes import check_in_group
 from palwidth.search import pal_length_bounded
-from palwidth.words import AT, EMPTY, parse
+from palwidth.words import AT, EMPTY, parse, reduce
 
 NS = (2, 3, -2)
 
@@ -96,6 +96,16 @@ class TestNormalForm:
         assert evaluate(normal_form_word(k, l, m), n) == g
         if k > 0 and m > 0:
             assert l % n != 0
+
+    @pytest.mark.parametrize("n", NS)
+    @given(raw=st.lists(st.tuples(st.sampled_from("at"), st.integers(-6, 6)), max_size=8))
+    @settings(max_examples=80)
+    def test_normal_form_has_the_fewest_t_letters(self, n, raw):
+        # the input cap on a word's total |t|-exponent then also bounds the
+        # normal form, and the normal form's own check never trips first
+        u = reduce(raw)
+        k, _, m = normal_form(evaluate(u, n))
+        assert k + m <= sum(abs(e) for g, e in u.syllables if g == "t")
 
 
 class TestDecomposition:

@@ -1,7 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from palwidth import search
 from palwidth.cli import lookup_group, main, recheck_certificate
 from palwidth.palindromes import check_in_group
 from palwidth.words import AB, AT, parse
@@ -252,3 +259,81 @@ class TestLookupGroup:
             group = lookup_group(label)
             g = group.eval(parse(word, group.alphabet))
             assert group.decode(json.loads(json.dumps(g.to_json()))) == g
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ADDRESS_SPACE = 1 << 30  # bytes
+
+
+def run_capped(*argv):
+    """`python -m palwidth ARGV` in a child whose address space is capped at
+    1 GiB; returns the finished process and its wall time."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "palwidth", *argv],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+    return proc, time.perf_counter() - start
+
+
+class TestInputCap:
+    @pytest.mark.parametrize(
+        "group, text, factor, num",
+        [
+            ("bs:3", "t^-20 a t^20", "a^3486784401", 3**20),
+            ("bs:2", "a^200000000", "a^200000000", 200000000),
+        ],
+    )
+    def test_huge_exponents_certify_in_little_memory(self, group, text, factor, num):
+        proc, seconds = run_capped("decompose", "--group", group, text, "--recheck")
+        assert proc.returncode == 0, proc.stderr
+        assert seconds < 5
+        doc = json.loads(proc.stdout)
+        assert doc["factors"] == [factor]
+        assert doc["target"]["element"]["num"] == num
+        assert recheck_certificate(doc)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--group", "wreath", '{"support": {"100000000": 1}, "shift": 0}'],
+            ["witness", '{"support": {"0": 1, "100000000": -1}, "shift": 0}'],
+            ["decompose", "--group", "bs:3", "t^-100000000 a t^100000000"],
+            ["decompose", "--group", "bs:3", '{"num": 1, "den_exp": 0, "dil": -100000000, "n": 3}'],
+        ],
+    )
+    def test_oversized_work_exits_with_the_budget_code(self, argv):
+        proc, seconds = run_capped(*argv)
+        assert proc.returncode == 3, proc.stderr
+        assert seconds < 5
+        assert proc.stdout == "" and "over the input cap" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # lamps from -10 to 25 (index 0 included) plus |shift| 5
+            (["decompose", "--group", "wreath", '{"support": {"-10": 1, "25": 2}, "shift": 5}'], 0),
+            (["decompose", "--group", "wreath", '{"support": {"-10": 1, "25": 2}, "shift": -6}'], 3),
+            (["decompose", "--group", "wreath", '{"support": {"3": 1}, "shift": 0}'], 0),
+            (["decompose", "--group", "wreath", "b^-41 a b^41"], 3),
+            (["witness", '{"support": {"-10": 1, "30": -1}, "shift": 0}'], 0),
+            (["witness", '{"support": {"-10": 1, "31": -1}, "shift": 0}'], 3),
+            # total |t|-exponent of the word, and of a literal's normal form
+            (["decompose", "--group", "bs:2", "t^-20 a t^20", "--recheck"], 0),
+            (["decompose", "--group", "bs:2", "t^-20 a t^21"], 3),
+            (["decompose", "--group", "bs:2", '{"num": 1, "den_exp": 0, "dil": -40, "n": 2}', "--recheck"], 0),
+            (["decompose", "--group", "bs:2", '{"num": 1, "den_exp": 0, "dil": -41, "n": 2}'], 3),
+            (["decompose", "--group", "bs:2", '{"num": 1, "den_exp": 20, "dil": 1, "n": 2}'], 3),
+        ],
+    )
+    def test_cap_boundary(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(search, "MAX_INPUT_SPAN", 40)
+        got, out, err = run(capsys, *argv)
+        assert got == code, err
+        if code == 3:
+            assert out == "" and "over the input cap of 40" in err

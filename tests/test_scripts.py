@@ -46,3 +46,37 @@ def test_census_rejects_an_empty_search(bound):
     )
     assert proc.returncode == 2
     assert f"{bound[2:].replace('-', '_')} must be at least 1" in proc.stderr
+
+
+def census(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "ball_census.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("group", ["wreath", "heis", "bs:2"])
+def test_census_rows_match_each_ball(group):
+    from palwidth.cli import lookup_group
+    from palwidth.search import ball_table
+
+    proc = census("--group", group, "--radius", "5")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    ev = lookup_group(group)
+    assert rows == [f"{r},{len(ball_table(ev, r))}" for r in range(6)]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--radius", "6", "--budget", "20"],
+        ["--radius", "2", "--max-len", "6", "--max-factors", "2", "--budget", "40"],
+    ],
+)
+def test_census_over_budget_exits_3(args):
+    proc = census("--group", "heis", *args)
+    assert proc.returncode == 3
+    assert "state cap" in proc.stderr and "Traceback" not in proc.stderr
