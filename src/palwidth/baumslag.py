@@ -23,8 +23,29 @@ from .palindromes import (
     SelfCheckError,
     check_in_group,
 )
-from .search import Evaluator, check_input_span
+from .search import Evaluator, check_digits, check_input_span
 from .words import AT, Word, run_word
+
+
+def _check_parameter(n: int) -> None:
+    if abs(n) < 2:
+        raise ValueError(f"group parameter must satisfy |n| >= 2, got {n}")
+
+
+def _lowest_terms(num: int, den_exp: int, n: int) -> tuple[int, int]:
+    """num / n^den_exp in lowest terms, for den_exp > 0 and n dividing num."""
+    # re-evaluating a normal form t^k a^l t^-m strips all m factors of n
+    # from a long l, where one n at a time would take time quadratic in its
+    # length; a short num strips faster one n at a time than by a power
+    bits = abs(num).bit_length()
+    if bits > 64 and den_exp * (abs(n).bit_length() - 1) < bits:
+        q, r = divmod(num, n**den_exp)
+        if not r:
+            return q, 0
+    while den_exp and num % n == 0:
+        num //= n
+        den_exp -= 1
+    return num, den_exp
 
 
 @dataclass(frozen=True)
@@ -35,17 +56,14 @@ class BSElement:
     n: int
 
     def __post_init__(self) -> None:
-        if abs(self.n) < 2:
-            raise ValueError(f"group parameter must satisfy |n| >= 2, got {self.n}")
+        _check_parameter(self.n)
         if self.den_exp < 0:
             raise ValueError("den_exp must be non-negative")
         num, den_exp = self.num, self.den_exp
         if num == 0:
             den_exp = 0
-        else:
-            while den_exp and num % self.n == 0:
-                num //= self.n
-                den_exp -= 1
+        elif den_exp and num % self.n == 0:
+            num, den_exp = _lowest_terms(num, den_exp, self.n)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den_exp", den_exp)
 
@@ -95,20 +113,30 @@ class BSElement:
 
 def evaluate(w: Word, n: int) -> BSElement:
     # fold syllable by syllable: normal forms carry a^l blocks with huge l,
-    # and a syllable is a single multiplication (a^e adds e, t^e scales by
-    # n^e); the numbers grow like n^(total |t|-exponent), which is capped
+    # and a syllable is one product with a generator image, formed over
+    # plain integers as `BSElement.__mul__` forms it; num / n^den_exp stays
+    # the rational of the normalised products, so normalising once at the
+    # end gives the same element. A zero translation keeps den_exp 0, so a
+    # leading t^-k leaves no n^k to strip. The numbers grow like
+    # n^(total |t|-exponent), which is capped.
     check_input_span(
         sum(abs(e) for g, e in w.syllables if g == "t"), "total |t|-exponent of the word"
     )
-    out = BSElement.identity(n)
+    _check_parameter(n)
+    num = den_exp = dil = 0
     for gen, exp in w.syllables:
         if gen == "a":
-            out = out * BSElement(exp, 0, 0, n)
+            num += exp * n**den_exp
         elif gen == "t":
-            out = out * BSElement(0, 0, exp, n)
+            if num:
+                den_exp -= exp
+                if den_exp < 0:
+                    num *= n ** (-den_exp)
+                    den_exp = 0
+            dil += exp
         else:
             raise ValueError(f"word is not over the alphabet {{a, t}}: {gen!r}")
-    return out
+    return BSElement(num, den_exp, dil, n)
 
 
 def normal_form(g: BSElement) -> tuple[int, int, int]:
@@ -125,6 +153,8 @@ def normal_form(g: BSElement) -> tuple[int, int, int]:
     # element evaluated from a word under the cap stays under it here
     check_input_span(k + m, "total |t|-exponent of the normal form")
     l = g.num * g.n ** (m - g.den_exp)
+    # certificates print l, and every other number of the element is shorter
+    check_digits(l, "a-exponent of the normal form")
     if evaluate(normal_form_word(k, l, m), g.n) != g:
         raise SelfCheckError("normal form failed re-evaluation")
     return k, l, m

@@ -14,7 +14,14 @@ import sys
 
 from . import __version__, baumslag, heisenberg, suites, wreath
 from .palindromes import CertificateError, PalindromicDecomposition, SelfCheckError
-from .search import BudgetExceeded, Evaluator, ball_table, pal_length_histogram, write_ball_csv
+from .search import (
+    MAX_DIGITS,
+    BudgetExceeded,
+    Evaluator,
+    ball_table,
+    pal_length_histogram,
+    write_ball_csv,
+)
 from .words import ParseError, Word, parse
 from .wreath import NotInDerivedError
 
@@ -206,6 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # let certificates print BS(1, n) exponents of up to MAX_DIGITS digits;
+    # interpreters before 3.10.7 have no limit to raise
+    if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < MAX_DIGITS:
+        sys.set_int_max_str_digits(MAX_DIGITS)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -56,6 +56,25 @@ def check_input_span(span: int, what: str) -> None:
         raise BudgetExceeded(f"{what} is {span}, over the input cap of {MAX_INPUT_SPAN}")
 
 
+# The most decimal digits a certificate's BS(1, n) a-exponent may have.
+# Under the span cap that exponent has about MAX_INPUT_SPAN * log10|n|
+# digits, so this bound admits |n| < 10 at the cap. `check_digits` refuses
+# longer exponents, since printing takes time quadratic in the digits, and
+# the command line raises the interpreter's integer-string limit (4,300
+# digits by default) to this bound.
+MAX_DIGITS = MAX_INPUT_SPAN
+
+
+def check_digits(value: int, what: str) -> None:
+    """Raise BudgetExceeded when |value| has more than MAX_DIGITS decimal
+    digits."""
+    # 10^MAX_DIGITS > 2^(3 * MAX_DIGITS), so a shorter value needs no power
+    if abs(value).bit_length() > 3 * MAX_DIGITS and abs(value) >= 10**MAX_DIGITS:
+        raise BudgetExceeded(
+            f"{what} has more than {MAX_DIGITS} decimal digits, over the digit cap"
+        )
+
+
 @dataclass(frozen=True)
 class Evaluator:
     label: str

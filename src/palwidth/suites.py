@@ -7,10 +7,14 @@ acceptance tests reuse the same functions at their stated sizes.
 This module also houses the 3x3 unitriangular integer-matrix model of the
 class-2 group: it is the independent oracle for the coordinate product
 law, kept out of `heisenberg` so the implementation cannot lean on it.
+`mat_mul` is written out for speed but stays the general 3x3 integer
+product on purpose: specialised to unitriangular matrices it would
+re-derive the Heisenberg law and stop being an independent check of it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -30,8 +34,25 @@ MAT_B: Matrix = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # y-generator
 
 
 def mat_mul(p: Matrix, q: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(p[i][k] * q[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+    # the general 3x3 product, written out; see the module docstring
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = p
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q
+    return (
+        (
+            p00 * q00 + p01 * q10 + p02 * q20,
+            p00 * q01 + p01 * q11 + p02 * q21,
+            p00 * q02 + p01 * q12 + p02 * q22,
+        ),
+        (
+            p10 * q00 + p11 * q10 + p12 * q20,
+            p10 * q01 + p11 * q11 + p12 * q21,
+            p10 * q02 + p11 * q12 + p12 * q22,
+        ),
+        (
+            p20 * q00 + p21 * q10 + p22 * q20,
+            p20 * q01 + p21 * q11 + p22 * q21,
+            p20 * q02 + p21 * q12 + p22 * q22,
+        ),
     )
 
 
@@ -48,24 +69,42 @@ def mat_of_heis(h: heisenberg.HeisElement) -> Matrix:
     return ((1, h.y, h.z), (0, 1, h.x), (0, 0, 1))
 
 
+_MAT_LETTERS: dict[Letter, Matrix] = {
+    ("a", 1): MAT_A,
+    ("a", -1): mat_inv(MAT_A),
+    ("b", 1): MAT_B,
+    ("b", -1): mat_inv(MAT_B),
+}
+
+
 def mat_eval(w: Word) -> Matrix:
     out = MAT_IDENTITY
-    gens = {"a": MAT_A, "b": MAT_B}
-    for gen, sign in w.letters:
-        m = gens[gen]
-        out = mat_mul(out, m if sign > 0 else mat_inv(m))
+    for letter in w.letters:
+        out = mat_mul(out, _MAT_LETTERS[letter])
     return out
 
 
 # --- seeded generators ---------------------------------------------------
 
 
-def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
+@functools.cache
+def _follow_ups(alphabet: Alphabet) -> dict[Letter, tuple[Letter, ...]]:
+    """The letters that may follow each letter in a reduced word, in
+    letter order."""
     letters = alphabet.letters()
+    return {c: tuple(x for x in letters if x != (c[0], -c[1])) for c in letters}
+
+
+def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
+    # rng.choice draws one index below the length of the sequence, so the
+    # precomputed follow-ups make the same draws as filtering each step
+    follow = _follow_ups(alphabet)
     out: list[Letter] = []
+    choices = alphabet.letters()
     for _ in range(length):
-        choices = [c for c in letters if not out or c != (out[-1][0], -out[-1][1])]
-        out.append(rng.choice(choices))
+        letter = rng.choice(choices)
+        out.append(letter)
+        choices = follow[letter]
     return reduce(out)
 
 
@@ -333,6 +372,8 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(available_suites())}")
     fn, default_cases = SUITES[name]
     n = default_cases if cases is None else cases
+    if n < 1:
+        raise ValueError("cases must be at least 1")
     rng = random.Random(seed)
     start = time.perf_counter()
     failures = fn(rng, n)

@@ -22,6 +22,7 @@ the test suite fuzzes it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -220,10 +221,17 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     return reduce(syllables)
 
 
+@functools.cache
+def _signed_letters(alphabet: Alphabet) -> dict[str, Letter]:
+    """Each generator letter and its uppercase inverse alias, as a letter."""
+    signed = {name: (name, 1) for name in alphabet.names}
+    signed.update((name.upper(), (name, -1)) for name in alphabet.names)
+    return signed
+
+
 def _scan(text: str, alphabet: Alphabet) -> list[Syllable]:
     names = alphabet.names
-    signed = {name: (name, 1) for name in names}
-    signed.update((name.upper(), (name, -1)) for name in names)
+    signed = _signed_letters(alphabet)
     syllables: list[Syllable] = []
     i, n = 0, len(text)
     while i < n:

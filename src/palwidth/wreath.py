@@ -455,6 +455,7 @@ def classify_palindrome_form(g: WreathElement) -> PalindromeForm:
     are tried first, the mirror-corrected shapes as fallback (flagged
     `mirrored`). Every image of a palindromic word matches some shape;
     the converse is not claimed."""
+    _check_span(g)  # the overlap solvers walk every index of the lamp span
     tail, s = g.tail, g.shift
     h = _overlap(tail, s)
     if h is not None:

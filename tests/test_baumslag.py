@@ -5,6 +5,7 @@ from strategies import words
 
 from palwidth.baumslag import (
     BSElement,
+    _lowest_terms,
     evaluate,
     evaluator,
     normal_form,
@@ -13,7 +14,7 @@ from palwidth.baumslag import (
 )
 from palwidth.palindromes import check_in_group
 from palwidth.search import pal_length_bounded
-from palwidth.words import AT, EMPTY, parse, reduce
+from palwidth.words import AB, AT, EMPTY, parse, reduce
 
 NS = (2, 3, -2)
 
@@ -74,6 +75,51 @@ class TestRepresentation:
         g = evaluate(u, n)
         assert g * g.inverse() == BSElement.identity(n)
         assert evaluate(u.inverse(), n) == g.inverse()
+
+
+def generator_fold(w, n):
+    """Evaluate by multiplying the generator images syllable by syllable."""
+    out = BSElement.identity(n)
+    for gen, exp in w.syllables:
+        if gen == "a":
+            out = out * BSElement(exp, 0, 0, n)
+        elif gen == "t":
+            out = out * BSElement(0, 0, exp, n)
+        else:
+            raise ValueError(f"word is not over the alphabet {{a, t}}: {gen!r}")
+    return out
+
+
+class TestEvaluateAgainstGeneratorFold:
+    @pytest.mark.parametrize("n", [2, 3, -2, 5, -7])
+    @given(raw=st.lists(st.tuples(st.sampled_from("at"), st.integers(-40, 40)), max_size=10))
+    @settings(max_examples=150)
+    def test_same_element(self, n, raw):
+        u = reduce(raw)
+        assert evaluate(u, n) == generator_fold(u, n)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_rejects_a_small_parameter(self, n):
+        with pytest.raises(ValueError, match=r"\|n\| >= 2, got"):
+            evaluate(w("a t"), n)
+
+    def test_rejects_a_foreign_generator(self):
+        with pytest.raises(ValueError, match="not over the alphabet {a, t}: 'b'"):
+            evaluate(parse("a b", AB), 2)
+
+
+@given(
+    n=st.sampled_from([2, 3, -2, 5, -7, 10]),
+    unit=st.integers(1, 10**6),
+    power=st.integers(0, 80),
+    den_exp=st.integers(1, 90),
+)
+def test_lowest_terms_strips_as_one_by_one(n, unit, power, den_exp):
+    num, e = unit * n**power, den_exp
+    while e and num % n == 0:
+        num //= n
+        e -= 1
+    assert _lowest_terms(unit * n**power, den_exp, n) == (num, e)
 
 
 class TestNormalForm:

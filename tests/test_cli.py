@@ -134,6 +134,12 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "heis-quotient", "--seed", "5", "--cases", "150")
         assert out1 == out2  # identical seeds give byte-identical reports
 
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_needs_a_case(self, capsys, cases):
+        code, out, err = run(capsys, "verify", "heis-matrix-oracle", "--cases", cases)
+        assert code == 2 and out == ""
+        assert err == "error: cases must be at least 1\n"
+
 
 class TestExplore:
     def test_radius_zero_csv(self, capsys, tmp_path):
@@ -312,6 +318,36 @@ class TestInputCap:
         assert proc.returncode == 3, proc.stderr
         assert seconds < 5
         assert proc.stdout == "" and "over the input cap" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "group, text, digits",
+        [
+            # more digits than Python prints by default (4,300)
+            ("bs:3", "t^-9100 a t^9100", 4342),
+            # stripping 99,990 factors of 10 from a^(10^99991) at the recheck
+            ("bs:10", "t^-99990 a^10", 99992),
+        ],
+    )
+    def test_long_exponents_print_and_recheck(self, group, text, digits):
+        proc, seconds = run_capped("decompose", "--group", group, text, "--recheck")
+        assert proc.returncode == 0, proc.stderr
+        assert seconds < 5
+        # --recheck passed in the child; read the numbers as text here, where
+        # the interpreter's digit limit may still be the default
+        doc = json.loads(proc.stdout, parse_int=str)
+        factor = doc["factors"][0]
+        assert factor.startswith("a^") and len(factor) == len("a^") + digits
+
+    @pytest.mark.parametrize(
+        "group, text",
+        [("bs:10", "t^-100000 a^10"), ("bs:1000", "t^-50000 a t^50000")],
+    )
+    def test_over_the_digit_cap_exits_with_the_budget_code(self, group, text):
+        proc, seconds = run_capped("decompose", "--group", group, text)
+        assert proc.returncode == 3, proc.stderr
+        assert seconds < 5
+        assert proc.stdout == ""
+        assert "more than 100000 decimal digits, over the digit cap" in proc.stderr
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -6,8 +6,10 @@ import pytest
 from palwidth import baumslag, heisenberg, wreath
 from palwidth.heisenberg import HeisElement
 from palwidth.search import (
+    MAX_DIGITS,
     BudgetExceeded,
     ball_table,
+    check_digits,
     enumerate_palindromes,
     enumerate_reduced_words,
     pal_length_bounded,
@@ -266,3 +268,11 @@ class TestHistogram:
         with pytest.raises(BudgetExceeded) as exc:
             pal_length_histogram(heisenberg.evaluator(), 2, 3, 4, max_states=20)
         assert exc.value.completed == 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_digit_cap_counts_decimal_digits(sign):
+    check_digits(sign * (10**MAX_DIGITS - 1), "x")  # MAX_DIGITS digits
+    check_digits(sign * 2 ** (3 * MAX_DIGITS), "x")
+    with pytest.raises(BudgetExceeded, match=f"x has more than {MAX_DIGITS} decimal digits"):
+        check_digits(sign * 10**MAX_DIGITS, "x")

@@ -1,12 +1,19 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from strategies import palindromes, words
 
+from palwidth import search
 from palwidth.palindromes import check_in_group
-from palwidth.search import enumerate_palindromes
+from palwidth.search import BudgetExceeded, enumerate_palindromes
 from palwidth.words import AB, EMPTY, Word, parse, run_word
 from palwidth.wreath import (
     NotInDerivedError,
@@ -254,6 +261,42 @@ class TestClassify:
     def test_pure_shift_is_b_form(self):
         form = classify_palindrome_form(elem({}, 5))
         assert form.kind == "b-form" and not form.mirrored
+
+    def test_far_lamp_is_over_the_input_cap(self):
+        # in a child capped at 1 GiB: walking 10^8 lamp indices would
+        # exhaust the memory of the machine running the tests
+        code = (
+            "from palwidth.wreath import SupportVector, WreathElement, classify_palindrome_form\n"
+            "classify_palindrome_form(WreathElement(SupportVector({0: 1, 10**8: 1}), 1))\n"
+        )
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert time.perf_counter() - start < 5
+        assert "BudgetExceeded: lamp span plus |shift| is 100000001" in proc.stderr
+
+    @given(p=palindromes(max_half=6))
+    def test_cap_is_the_lamp_span_plus_shift(self, p):
+        # the classification of an element at the cap is the uncapped one
+        g = evaluate(p)
+        form = classify_palindrome_form(g)
+        items = g.tail.items()
+        lo = min([0] + [i for i, _ in items])
+        hi = max([0] + [i for i, _ in items])
+        span = hi - lo + abs(g.shift)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search, "MAX_INPUT_SPAN", span)
+            assert classify_palindrome_form(g) == form
+            m.setattr(search, "MAX_INPUT_SPAN", span - 1)
+            with pytest.raises(BudgetExceeded):
+                classify_palindrome_form(g)
 
 
 class TestJson:
