@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from palwidth.cli import lookup_group
-from palwidth.search import BudgetExceeded, ball_table, pal_length_histogram
+from palwidth.search import BudgetExceeded, ball_table, pal_length_histogram_of
 
 
 def census(ev, args) -> None:
@@ -30,8 +30,8 @@ def census(ev, args) -> None:
         print(f"{r},{elements}")
 
     if args.max_len is not None and args.max_factors is not None:
-        hist = pal_length_histogram(
-            ev, args.radius, args.max_factors, args.max_len, max_states=args.budget
+        hist = pal_length_histogram_of(
+            ev, table, args.max_factors, args.max_len, max_states=args.budget
         )
         print(f"# palindromic length within radius {args.radius}, "
               f"factors <= {args.max_factors}, palindrome length <= {args.max_len}")

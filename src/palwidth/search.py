@@ -332,8 +332,21 @@ def pal_length_histogram(
 ) -> dict[str, int]:
     """Bounded palindromic-length histogram over the ball of the given
     radius; elements not expressible within the bounds count as unknown."""
+    _check_bounds(max_factors, max_len)  # a usage error before any ball is built
+    return pal_length_histogram_of(
+        ev, ball_table(ev, radius, max_states), max_factors, max_len, max_states
+    )
+
+
+def pal_length_histogram_of(
+    ev: Evaluator,
+    table: BallTable,
+    max_factors: int,
+    max_len: int,
+    max_states: int | None = None,
+) -> dict[str, int]:
+    """`pal_length_histogram` over the elements of a built ball table."""
     _check_bounds(max_factors, max_len)
-    table = ball_table(ev, radius, max_states)
     index = _PalProductIndex(ev, max_len, max_states)
     identity = ev.eval(EMPTY)
     hist: dict[str, int] = {str(k): 0 for k in range(max_factors + 1)}

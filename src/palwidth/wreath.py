@@ -21,12 +21,10 @@ The three constructive procedures:
     the abelianized a-block at lamp index 1: placing it at index 0 fails
     re-verification whenever the block is nontrivial, because the block
     sits to the right of b^-1 in the factored word.
-  * `classify_palindrome_form` matches an element against the two overlap
-    shapes l*unit(-k) + h + h^(b^-2k) with shift 2k ("a-form") and
-    h + h^(b^-l) with shift l ("b-form"). Word reversal actually mirrors
-    the support (a_i maps to a_-i), so some palindromic words match
-    neither literal shape; the classifier then falls back to the
-    mirror-corrected shapes and flags the result `mirrored`.
+  * `palindrome_witness` decides whether an element is the image of a
+    palindromic word: since reversal mirrors the support (a_i maps to
+    a_-i), the images are the elements whose tail is symmetric under
+    i -> -shift - i, and each comes with a re-verified palindrome.
 """
 
 from __future__ import annotations
@@ -324,164 +322,29 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
     return dec
 
 
-@dataclass(frozen=True)
-class PalindromeForm:
-    """Result of `classify_palindrome_form`: the matched shape with its
-    witness, or kind == "neither"."""
+def palindrome_witness(g: WreathElement) -> Word | None:
+    """A palindromic word evaluating to g, or None exactly when the tail of
+    g is not symmetric under i -> -shift - i.
 
-    kind: str  # "a-form" | "b-form" | "neither"
-    h: SupportVector | None = None
-    k: int | None = None
-    l: int | None = None
-    mirrored: bool = False
-
-    def matches(self) -> bool:
-        return self.kind != "neither"
-
-
-def _overlap(tail: SupportVector, step: int) -> SupportVector | None:
-    """Solve tail = h + h.shift(-step) for a finitely supported h.
-
-    For step != 0 the equations tail_i = h_i + h_{i+step} decouple over
-    residue classes mod |step|; walking each class from the end where h
-    must vanish determines h uniquely, and solvability is the vanishing of
-    the final residual.
+    Reversal is an anti-automorphism (`reversal_image`), so the palindrome
+    images are the products u * c * rev(u) with c = 1, a^m or b, and those
+    are the elements with a symmetric tail; the fixed point -shift/2 of an
+    even shift may hold any value. The witness takes u from the tail
+    entries above the fixed point followed by b^(shift // 2), and c = b for
+    an odd shift, a^(tail[-shift/2]) for an even one.
     """
-    if step == 0:
-        if any(v % 2 for _, v in tail.items()):
-            return None
-        return SupportVector({i: v // 2 for i, v in tail.items()})
-    width = abs(step)
-    groups: dict[int, list[int]] = {}
-    for i, _ in tail.items():
-        groups.setdefault(i % width, []).append(i)
-    solved: dict[int, int] = {}
-    for idxs in groups.values():
-        lo, hi = min(idxs), max(idxs)
-        rng = range(hi, lo - 1, -width) if step > 0 else range(lo, hi + 1, width)
-        last = 0
-        for i in rng:
-            v = tail[i] - solved.get(i + step, 0)
-            if v:
-                solved[i] = v
-            last = v
-        if last:
-            return None
-    return SupportVector(solved)
-
-
-def _overlap_with_center(
-    tail: SupportVector, step: int, center: int
-) -> tuple[SupportVector, int] | None:
-    """Solve tail - l*unit(center) = h + h.shift(-step) for some integer l.
-
-    Only the residue class of `center` can absorb l; the residual of that
-    class is affine in l with slope +-1, so a workable l always exists
-    provided every other class admits a plain overlap solution.
-    """
-    if step == 0:
-        if any(v % 2 for i, v in tail.items() if i != center):
-            return None
-        l = tail[center] % 2
-        h = {i: (v - (l if i == center else 0)) // 2 for i, v in tail.items()}
-        return SupportVector(h), l
-    width = abs(step)
-    rest = SupportVector({i: v for i, v in tail.items() if (i - center) % width})
-    h_rest = _overlap(rest, step)
-    if h_rest is None:
+    _check_span(g)
+    s = g.shift
+    items = g.tail.items()
+    if any(g.tail[-s - i] != e for i, e in items):
         return None
-    idxs = sorted({i for i, _ in tail.items() if (i - center) % width == 0} | {center})
-    lo, hi = idxs[0], idxs[-1]
-    rng = range(hi, lo - 1, -width) if step > 0 else range(lo, hi + 1, width)
-
-    def walk(l: int) -> tuple[dict[int, int], int]:
-        solved: dict[int, int] = {}
-        last = 0
-        for i in rng:
-            v = tail[i] - (l if i == center else 0) - solved.get(i + step, 0)
-            if v:
-                solved[i] = v
-            last = v
-        return solved, last
-
-    _, r0 = walk(0)
-    _, r1 = walk(1)
-    slope = r1 - r0
-    if slope not in (1, -1):  # the center always lies inside the walk
-        raise SelfCheckError("center class residual is not affine with unit slope")
-    l = -r0 // slope
-    solved, last = walk(l)
-    if last:
-        raise SelfCheckError("center class did not close after choosing l")
-    return SupportVector(tuple(h_rest.items()) + tuple(solved.items())), l
-
-
-def _mirror_pairs(
-    tail: SupportVector, s: int, free_center: bool
-) -> tuple[SupportVector, int | None] | None:
-    """Solve tail = [e at -s/2] + h + h.mirror().shift(-s).
-
-    The equations pair index i with -s - i, so the tail must be symmetric
-    under that involution; the fixed point (present only for even s) needs
-    an even entry, unless `free_center` lets e soak it up.
-    """
-    entries = dict(tail.items())
-    h: dict[int, int] = {}
-    e = 0
-    seen: set[int] = set()
-    for i in sorted(entries):
-        if i in seen:
-            continue
-        j = -s - i
-        v = entries[i]
-        if i == j:
-            if free_center:
-                e = v
-            elif v % 2:
-                return None
-            else:
-                h[i] = v // 2
-        else:
-            if entries.get(j, 0) != v:
-                return None
-            h[max(i, j)] = v
-            seen.add(j)
-        seen.add(i)
-    return SupportVector(h), (e if free_center else None)
-
-
-def classify_palindrome_form(g: WreathElement) -> PalindromeForm:
-    """Match g against the palindrome shapes; the literal overlap shapes
-    are tried first, the mirror-corrected shapes as fallback (flagged
-    `mirrored`). Every image of a palindromic word matches some shape;
-    the converse is not claimed."""
-    _check_span(g)  # the overlap solvers walk every index of the lamp span
-    tail, s = g.tail, g.shift
-    h = _overlap(tail, s)
-    if h is not None:
-        assert tail == h + h.shift(-s)
-        return PalindromeForm("b-form", h=h, l=s)
-    if s % 2 == 0:
-        res = _overlap_with_center(tail, s, -(s // 2))
-        if res is not None:
-            h, l = res
-            k = s // 2
-            assert tail == SupportVector.unit(-k, l) + h + h.shift(-s)
-            return PalindromeForm("a-form", h=h, k=k, l=l)
-    mirrored = _mirror_pairs(tail, s, free_center=False)
-    if mirrored is not None:
-        h, _ = mirrored
-        assert tail == h + h.mirror().shift(-s)
-        return PalindromeForm("b-form", h=h, l=s, mirrored=True)
-    if s % 2 == 0:
-        mirrored = _mirror_pairs(tail, s, free_center=True)
-        if mirrored is not None:
-            h, e = mirrored
-            k = s // 2
-            assert e is not None
-            assert tail == SupportVector.unit(-k, e) + h + h.mirror().shift(-s)
-            return PalindromeForm("a-form", h=h, k=k, l=e, mirrored=True)
-    return PalindromeForm("neither")
+    upper = SupportVector._trusted({i: e for i, e in items if i > -s - i})
+    u = support_word(upper) * run_word("b", s // 2)
+    centre = run_word("b", 1) if s % 2 else run_word("a", g.tail[-(s // 2)])
+    witness = u * centre * u.reverse()
+    if not witness.is_palindrome() or evaluate(witness) != g:
+        raise SelfCheckError("palindrome witness failed re-verification")
+    return witness
 
 
 def evaluator() -> Evaluator:

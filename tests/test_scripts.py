@@ -80,3 +80,31 @@ def test_census_over_budget_exits_3(args):
     proc = census("--group", "heis", *args)
     assert proc.returncode == 3
     assert "state cap" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_census_builds_one_ball(monkeypatch, capsys):
+    # the histogram runs over the census's own table, not a second search
+    import importlib.util
+
+    from palwidth import search
+    from palwidth.cli import lookup_group
+
+    calls = []
+    ball_table = search.ball_table
+
+    def counting_ball_table(*args, **kwargs):
+        calls.append(args)
+        return ball_table(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ball_table", counting_ball_table)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("ball_census", SCRIPTS / "ball_census.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    args = ["--group", "heis", "--radius", "6", "--max-len", "4", "--max-factors", "2"]
+    monkeypatch.setattr(sys, "argv", ["ball_census.py", *args])
+    assert module.main() == 0
+    assert len(calls) == 1
+    rows = capsys.readouterr().out.splitlines()
+    hist = search.pal_length_histogram(lookup_group("heis"), 6, 2, 4)
+    assert rows[-len(hist):] == [f"{k},{v}" for k, v in hist.items()]

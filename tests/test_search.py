@@ -8,6 +8,7 @@ from palwidth.heisenberg import HeisElement
 from palwidth.search import (
     MAX_DIGITS,
     BudgetExceeded,
+    _PalProductIndex,
     ball_table,
     check_digits,
     enumerate_palindromes,
@@ -268,6 +269,47 @@ class TestHistogram:
         with pytest.raises(BudgetExceeded) as exc:
             pal_length_histogram(heisenberg.evaluator(), 2, 3, 4, max_states=20)
         assert exc.value.completed == 0
+
+
+def exact_heis_length(h):
+    """Palindromic length in N_{2,2}: 1 on the palindrome images, 2 on the
+    products of two, 3 on the rest."""
+    if h == HeisElement.identity():
+        return 0
+    if heisenberg.is_palindrome_image(h):
+        return 1
+    return 2 if heisenberg.two_palindrome_product(h) is not None else 3
+
+
+class TestExactOracle:
+    """The engine against the exact deciders. The engine may miss a
+    product whose factors are longer than max_len, so its k is never
+    below the exact one; it may be above it."""
+
+    @pytest.mark.parametrize("radius", [8, 10])
+    def test_heis_engine_is_never_below_the_exact_length(self, radius):
+        ev = heisenberg.evaluator()
+        index = _PalProductIndex(ev, radius, None)
+        for h in ball_table(ev, radius).entries:
+            exact = exact_heis_length(h)
+            if exact == 0:
+                continue
+            k = next((k for k in (1, 2, 3) if index.reaches(h, k)), None)
+            assert k is None or k >= exact, h
+            if exact == 1 and len(heisenberg.palindrome_word_for(h.x, h.y)) <= radius:
+                assert k == 1, h
+
+    def test_wreath_engine_single_palindromes_are_decided_images(self):
+        ev = wreath.evaluator()
+        index = _PalProductIndex(ev, 8, None)
+        for g in ball_table(ev, 8).entries:
+            witness = wreath.palindrome_witness(g)
+            if g == wreath.WreathElement.identity():
+                assert witness == EMPTY
+            elif index.reaches(g, 1):
+                assert witness is not None, g
+            elif witness is not None:
+                assert len(witness) > 8, g
 
 
 @pytest.mark.parametrize("sign", [1, -1])

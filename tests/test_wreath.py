@@ -19,10 +19,11 @@ from palwidth.wreath import (
     NotInDerivedError,
     SupportVector,
     WreathElement,
-    classify_palindrome_form,
     commutator_witness,
     commutator_with_b,
     evaluate,
+    evaluator,
+    palindrome_witness,
     reversal_image,
     support_word,
     three_palindrome_decomposition,
@@ -182,6 +183,13 @@ class TestWitness:
 
 
 class TestThreePalindromes:
+    def test_single_factor_exactly_on_palindrome_images(self):
+        # a symmetric tail makes the canonical word a palindrome, so the
+        # certificate of every palindrome image is that one word
+        for g in search.ball_table(evaluator(), 6).entries:
+            dec = three_palindrome_decomposition(g)
+            assert (dec.length <= 1) == (palindrome_witness(g) is not None), g
+
     def test_b_is_single_factor(self):
         dec = three_palindrome_decomposition(elem({}, 1))
         assert [str(f) for f in dec.factors] == ["b"]
@@ -214,60 +222,108 @@ class TestThreePalindromes:
         assert evaluate(dec.target) == g
 
 
+# Shortlex words of the radius-6 ball elements that are not palindrome
+# images yet matched one of the literal overlap shapes tail = h + h^(b^-l)
+# or l*unit(-k) + h + h^(b^-2k) of the palindrome-shape classifier that
+# `wreath` once had: reversal mirrors the support, which those shapes miss.
+LITERAL_SHAPE_FALSE_POSITIVES = [
+    "b a^2 b^-1", "b a^-2 b^-1", "b^-1 a^2 b", "b^-1 a^-2 b", "a b a^2 b^-1",
+    "a b a b^-2", "a b a^-2 b^-1", "a b^2 a^-1 b^-1", "a b^-1 a^2 b", "a b^-1 a b^2",
+    "a b^-1 a^-2 b", "a b^-2 a^-1 b", "a^-1 b a^2 b^-1", "a^-1 b a^-2 b^-1",
+    "a^-1 b a^-1 b^-2", "a^-1 b^2 a b^-1", "a^-1 b^-1 a^2 b", "a^-1 b^-1 a^-2 b",
+    "a^-1 b^-1 a^-1 b^2", "a^-1 b^-2 a b", "b a b a b^-1", "b a b^-2 a^-1", "b a b^-3",
+    "b a^-1 b a^-1 b^-1", "b a^-1 b^-2 a", "b a^-1 b^-3", "b^3 a b^-1",
+    "b^3 a^-1 b^-1", "b^-1 a b^2 a^-1", "b^-1 a b^3", "b^-1 a b^-1 a b",
+    "b^-1 a^-1 b^2 a", "b^-1 a^-1 b^3", "b^-1 a^-1 b^-1 a^-1 b", "b^-3 a b",
+    "b^-3 a^-1 b", "a^2 b a^2 b^-1", "a^2 b a^-2 b^-1", "a^2 b^-1 a^2 b",
+    "a^2 b^-1 a^-2 b", "a^-2 b a^2 b^-1", "a^-2 b a^-2 b^-1", "a^-2 b^-1 a^2 b",
+    "a^-2 b^-1 a^-2 b", "b a^4 b^-1", "b a^2 b^-3", "b a b^2 a b^-1",
+    "b a b^2 a^-1 b^-1", "b a b^-2 a b^-1", "b a b^-2 a^-1 b^-1", "b a^-4 b^-1",
+    "b a^-2 b^-3", "b a^-1 b^2 a b^-1", "b a^-1 b^2 a^-1 b^-1", "b a^-1 b^-2 a b^-1",
+    "b a^-1 b^-2 a^-1 b^-1", "b^2 a^2 b^-2", "b^2 a^-2 b^-2", "b^3 a^2 b^-1",
+    "b^3 a^-2 b^-1", "b^-1 a^4 b", "b^-1 a^2 b^3", "b^-1 a b^2 a b",
+    "b^-1 a b^2 a^-1 b", "b^-1 a b^-2 a b", "b^-1 a b^-2 a^-1 b", "b^-1 a^-4 b",
+    "b^-1 a^-2 b^3", "b^-1 a^-1 b^2 a b", "b^-1 a^-1 b^2 a^-1 b", "b^-1 a^-1 b^-2 a b",
+    "b^-1 a^-1 b^-2 a^-1 b", "b^-2 a^2 b^2", "b^-2 a^-2 b^2", "b^-3 a^2 b",
+    "b^-3 a^-2 b",
+]
+
+
 class TestClassify:
+    """`palindrome_witness`: a palindromic word for every palindrome image,
+    None for every other element."""
+
+    def accepts(self, g):
+        witness = palindrome_witness(g)
+        assert witness is not None and witness.is_palindrome()
+        assert evaluate(witness) == g
+        return witness
+
     def test_literal_palindrome_classifies(self):
-        form = classify_palindrome_form(evaluate(w("aba")))
-        assert form.matches() and not form.mirrored
+        self.accepts(evaluate(w("aba")))
 
-    def test_bab_is_a_form(self):
-        form = classify_palindrome_form(evaluate(w("bab")))
-        assert form.kind == "a-form" and form.k == 1 and not form.mirrored
+    def test_bab_is_accepted(self):
+        assert self.accepts(evaluate(w("bab"))) == w("bab")
 
-    def test_ab_is_neither(self):
-        assert not classify_palindrome_form(evaluate(w("ab"))).matches()
-
-    def test_ab_not_reached_by_short_palindromes(self):
-        # corroborates "neither": no palindromic word of length <= 8 evaluates to ab
-        target = evaluate(w("ab"))
-        assert all(evaluate(p) != target for p in enumerate_palindromes(AB, 8))
-
-    def test_soundness_with_mirror_fallback(self):
-        for p in enumerate_palindromes(AB, 9):
-            form = classify_palindrome_form(evaluate(p))
-            assert form.matches(), f"palindrome {p} classified as neither"
+    def test_pure_shift_is_accepted(self):
+        assert self.accepts(elem({}, 5)) == w("b^5")
 
     def test_recorded_literal_form_gap(self):
         # B a b b a B is a palindrome whose image matches neither literal
-        # shape: reversal mirrors the support, which the literal shapes miss.
+        # overlap shape; the witness spells the lamp above the fixed point
+        # first, so here it is the word itself
         word = w("B a b b a B")
         assert word.is_palindrome()
-        form = classify_palindrome_form(evaluate(word))
-        assert form.matches() and form.mirrored
+        assert self.accepts(evaluate(word)) == word
 
-    def test_witness_equations(self):
-        for p in enumerate_palindromes(AB, 8):
-            g = evaluate(p)
-            form = classify_palindrome_form(g)
-            assert form.matches()
-            h = form.h
-            partner = h.mirror() if form.mirrored else h
-            if form.kind == "b-form":
-                assert g.tail == h + partner.shift(-form.l) and g.shift == form.l
+    def test_ab_is_not_a_palindrome_image(self):
+        # the lamp at 0 has no partner at -shift - 0 = -1
+        assert palindrome_witness(evaluate(w("ab"))) is None
+
+    def test_ab_not_reached_by_short_palindromes(self):
+        # corroborates the proof: no palindromic word of length <= 8 evaluates to ab
+        target = evaluate(w("ab"))
+        assert all(evaluate(p) != target for p in enumerate_palindromes(AB, 8))
+
+    def test_agrees_with_enumeration_on_the_radius_8_ball(self):
+        images = {evaluate(p) for p in enumerate_palindromes(AB, 16)}
+        table = search.ball_table(evaluator(), 8)
+        assert len(table) == 7537
+        accepted = 0
+        for g in table.entries:
+            if g in images:
+                self.accepts(g)
+                accepted += 1
             else:
-                spike = SupportVector.unit(-form.k, form.l)
-                assert g.tail == spike + h + partner.shift(-2 * form.k)
-                assert g.shift == 2 * form.k
+                assert palindrome_witness(g) is None, g
+        assert accepted == len(images & table.entries.keys())
 
-    def test_pure_shift_is_b_form(self):
-        form = classify_palindrome_form(elem({}, 5))
-        assert form.kind == "b-form" and not form.mirrored
+    def test_literal_shape_false_positives_are_rejected(self):
+        assert len(LITERAL_SHAPE_FALSE_POSITIVES) == 76
+        for text in LITERAL_SHAPE_FALSE_POSITIVES:
+            assert palindrome_witness(evaluate(w(text))) is None, text
+
+    @given(u=words(AB, 8), centre=st.sampled_from(["", "a^-3", "a", "a^4", "b", "B"]))
+    def test_witness_equations(self, u, centre):
+        # every u * c * rev(u) is accepted, with a witness that re-evaluates
+        self.accepts(evaluate(u * w(centre) * u.reverse()))
+
+    @given(p=palindromes(max_half=6), index=st.integers(-8, 8), exponent=st.integers(-3, 3))
+    def test_one_changed_lamp_breaks_the_symmetry(self, p, index, exponent):
+        # changing one lamp off the fixed point leaves it without its partner
+        g = evaluate(p)
+        changed = WreathElement(g.tail + SupportVector.unit(index, exponent), g.shift)
+        if exponent and 2 * index != -g.shift:
+            assert palindrome_witness(changed) is None
+        else:
+            self.accepts(changed)
 
     def test_far_lamp_is_over_the_input_cap(self):
-        # in a child capped at 1 GiB: walking 10^8 lamp indices would
-        # exhaust the memory of the machine running the tests
+        # in a child capped at 1 GiB: an uncapped routine that walked 10^8
+        # lamp indices would exhaust the memory of the machine running the tests
         code = (
-            "from palwidth.wreath import SupportVector, WreathElement, classify_palindrome_form\n"
-            "classify_palindrome_form(WreathElement(SupportVector({0: 1, 10**8: 1}), 1))\n"
+            "from palwidth.wreath import SupportVector, WreathElement, palindrome_witness\n"
+            "palindrome_witness(WreathElement(SupportVector({0: 1, 10**8: 1}), 1))\n"
         )
 
         def cap_memory():
@@ -284,19 +340,19 @@ class TestClassify:
 
     @given(p=palindromes(max_half=6))
     def test_cap_is_the_lamp_span_plus_shift(self, p):
-        # the classification of an element at the cap is the uncapped one
+        # the witness of an element at the cap is the uncapped one
         g = evaluate(p)
-        form = classify_palindrome_form(g)
+        witness = palindrome_witness(g)
         items = g.tail.items()
         lo = min([0] + [i for i, _ in items])
         hi = max([0] + [i for i, _ in items])
         span = hi - lo + abs(g.shift)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(search, "MAX_INPUT_SPAN", span)
-            assert classify_palindrome_form(g) == form
+            assert palindrome_witness(g) == witness
             m.setattr(search, "MAX_INPUT_SPAN", span - 1)
             with pytest.raises(BudgetExceeded):
-                classify_palindrome_form(g)
+                palindrome_witness(g)
 
 
 class TestJson:
