@@ -17,12 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .palindromes import (
-    CertificateError,
-    PalindromicDecomposition,
-    SelfCheckError,
-    check_in_group,
-)
+from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
 from .search import Evaluator, check_digits, check_input_span
 from .words import AT, Word, run_word
 
@@ -176,14 +171,7 @@ def two_palindrome_decomposition(g: BSElement) -> PalindromicDecomposition:
         symmetric = run_word("t", k) * run_word("a", l) * run_word("t", k)
         factors = tuple(f for f in (symmetric, run_word("t", -m - k)) if f)
     dec = PalindromicDecomposition(target, factors, AT)
-    try:
-        check_in_group(dec, lambda w: evaluate(w, g.n))
-    except CertificateError as exc:
-        raise SelfCheckError(f"BS certificate invalid: {exc}") from exc
-    if evaluate(dec.target, g.n) != g:
-        raise SelfCheckError("certificate target does not evaluate to the element")
-    if dec.length > 2:
-        raise SelfCheckError(f"certificate has {dec.length} factors, expected <= 2")
+    check_group_certificate(dec, lambda w: evaluate(w, g.n), g, 2)
     return dec
 
 

@@ -83,9 +83,9 @@ def evaluate(w: Word) -> HeisElement:
 def from_wreath(g: WreathElement) -> HeisElement:
     """The quotient homomorphism: a_i -> (1, 0, -i), shift -> y."""
     return HeisElement(
-        g.tail.exponent_sum(),
+        sum(e for _, e in g.tail),
         g.shift,
-        -sum(i * e for i, e in g.tail.items()),
+        -sum(i * e for i, e in g.tail),
     )
 
 

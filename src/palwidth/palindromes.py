@@ -90,6 +90,25 @@ def check_in_group(dec: PalindromicDecomposition, evaluate: Callable[[Word], obj
         raise CertificateError("factor product differs from target in the group")
 
 
+def check_group_certificate(
+    dec: PalindromicDecomposition,
+    evaluate: Callable[[Word], object],
+    element: object,
+    bound: int,
+) -> None:
+    """Self-check of a group-level constructor: the certificate passes
+    `check_in_group`, its target evaluates to `element` and it has at most
+    `bound` factors. A failure is a bug, raised as SelfCheckError."""
+    try:
+        check_in_group(dec, evaluate)
+    except CertificateError as exc:
+        raise SelfCheckError(f"certificate invalid: {exc}") from exc
+    if evaluate(dec.target) != element:
+        raise SelfCheckError("certificate target does not evaluate to the element")
+    if dec.length > bound:
+        raise SelfCheckError(f"certificate has {dec.length} factors, expected <= {bound}")
+
+
 def _require_palindrome(p: Word) -> None:
     if not p.is_palindrome():
         raise NotAPalindromeError(f"{str(p)!r} is not a palindrome")

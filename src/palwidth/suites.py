@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import baumslag, heisenberg, palindromes, wreath
-from .words import AB, Alphabet, Letter, Word, reduce
+from .words import AB, AT, Alphabet, Letter, Word, parse, reduce
 
 
 # --- the unitriangular matrix oracle -----------------------------------
@@ -123,16 +123,14 @@ def random_palindrome(rng: random.Random, alphabet: Alphabet, max_len: int) -> W
     return reduce(letters + letters[::-1])
 
 
-def random_support(
-    rng: random.Random, lo: int, hi: int, magnitude: int
-) -> wreath.SupportVector:
+def random_support(rng: random.Random, lo: int, hi: int, magnitude: int) -> dict[int, int]:
     entries = {}
     for i in range(lo, hi + 1):
         if rng.random() < 0.5:
             e = rng.randint(-magnitude, magnitude)
             if e:
                 entries[i] = e
-    return wreath.SupportVector(entries)
+    return entries
 
 
 def random_derived_element(
@@ -140,18 +138,18 @@ def random_derived_element(
 ) -> wreath.WreathElement:
     """Random derived-subgroup element: a random support adjusted at one
     index to make the exponent sum vanish."""
-    tail = random_support(rng, lo, hi, magnitude)
-    total = tail.exponent_sum()
+    lamps = list(random_support(rng, lo, hi, magnitude).items())
+    total = sum(e for _, e in lamps)
     if total:
-        tail = tail - wreath.SupportVector.unit(rng.randint(lo, hi), total)
-    return wreath.WreathElement(tail, 0)
+        lamps.append((rng.randint(lo, hi), -total))
+    return wreath.WreathElement.of(lamps)
 
 
 def random_wreath_element(
     rng: random.Random, lo: int, hi: int, magnitude: int, shift_bound: int
 ) -> wreath.WreathElement:
-    return wreath.WreathElement(
-        random_support(rng, lo, hi, magnitude), rng.randint(-shift_bound, shift_bound)
+    return wreath.WreathElement.of(
+        random_support(rng, lo, hi, magnitude).items(), rng.randint(-shift_bound, shift_bound)
     )
 
 
@@ -296,8 +294,6 @@ def _suite_heis_quotient(rng: random.Random, cases: int) -> list[str]:
 
 
 def _suite_bs_hom(rng: random.Random, cases: int) -> list[str]:
-    from .words import AT, parse
-
     failures = []
     for n in (2, 3, -2):
         relation = baumslag.evaluate(parse("t^-1 a t", AT), n)
@@ -316,8 +312,6 @@ def _suite_bs_hom(rng: random.Random, cases: int) -> list[str]:
 
 
 def _suite_bs_roundtrip(rng: random.Random, cases: int) -> list[str]:
-    from .words import AT
-
     failures = []
     for n in (2, 3, -2):
         for _ in range(cases // 3 + 1):
@@ -333,8 +327,6 @@ def _suite_bs_roundtrip(rng: random.Random, cases: int) -> list[str]:
 
 
 def _suite_bs_decomp(rng: random.Random, cases: int) -> list[str]:
-    from .words import AT
-
     failures = []
     for n in (2, 3, -2):
         for _ in range(cases // 3 + 1):

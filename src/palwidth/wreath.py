@@ -5,7 +5,10 @@ Conventions, from which everything else is derived:
   * a_i denotes b^-i a b^i, so a_0 = a and conjugating by b^k moves the
     lamp at index i to index i + k;
   * an element is tail * b^shift with tail a finitely supported map from
-    lamp indices to integer exponents.
+    lamp indices to integer exponents, stored as a tuple of
+    (index, exponent) pairs in strictly ascending index order with no
+    zero exponent. The form is unique, so `WreathElement` is a plain
+    frozen record whose own equality and hash decide group equality.
 
 `evaluate` sends a to the unit lamp at index 0 and b to a bare shift; its
 homomorphism property is the binding contract that pins every sign choice,
@@ -15,7 +18,8 @@ The three constructive procedures:
 
   * `commutator_witness` solves [f, b] = c by prefix sums whenever the
     element has shift 0 and exponent sum 0 (every derived-subgroup element
-    is a single commutator);
+    is a single commutator); f is an {index: exponent} lamp dict in
+    ascending index order;
   * `three_palindrome_decomposition` certifies that every element is a
     product of at most three palindromic words. The middle factor carries
     the abelianized a-block at lamp index 1: placing it at index 0 fails
@@ -32,14 +36,9 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
-from .palindromes import (
-    CertificateError,
-    PalindromicDecomposition,
-    SelfCheckError,
-    check_in_group,
-)
+from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
 from .search import Evaluator, check_input_span
 from .words import AB, Word, reduce, run_word
 
@@ -48,95 +47,38 @@ class NotInDerivedError(ValueError):
     """The element lies outside the derived subgroup."""
 
 
-class SupportVector:
-    """Finitely supported map from lamp index to a nonzero integer exponent."""
+Tail = tuple[tuple[int, int], ...]
 
-    __slots__ = ("_entries", "_key")
 
-    def __init__(self, entries: Union[dict[int, int], Iterable[tuple[int, int]]] = ()) -> None:
-        data: dict[int, int] = {}
-        items = entries.items() if isinstance(entries, dict) else entries
-        for i, e in items:
-            v = data.get(i, 0) + e
-            if v:
-                data[i] = v
-            elif i in data:
-                del data[i]
-        self._entries = data
-        self._key = tuple(sorted(data.items()))
-
-    @classmethod
-    def _trusted(cls, data: dict[int, int]) -> "SupportVector":
-        """Wrap a dict that already holds only nonzero entries, skipping
-        the normalising pass; the vector takes ownership of the dict."""
-        vec = object.__new__(cls)
-        vec._entries = data
-        vec._key = tuple(sorted(data.items()))
-        return vec
-
-    @classmethod
-    def unit(cls, index: int, exponent: int = 1) -> "SupportVector":
-        return cls({index: exponent} if exponent else {})
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        """Entries in ascending index order."""
-        return self._key
-
-    def __getitem__(self, index: int) -> int:
-        return self._entries.get(index, 0)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SupportVector) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        return f"SupportVector({dict(self._key)!r})"
-
-    def __add__(self, other: "SupportVector") -> "SupportVector":
-        return self.add_shifted(other, 0)
-
-    def add_shifted(self, other: "SupportVector", k: int) -> "SupportVector":
-        """self + other.shift(k), built in one pass."""
-        merged = dict(self._entries)
-        for i, e in other._entries.items():
-            i += k
-            v = merged.get(i, 0) + e
-            if v:
-                merged[i] = v
-            else:
-                del merged[i]
-        return SupportVector._trusted(merged)
-
-    def __neg__(self) -> "SupportVector":
-        return SupportVector._trusted({i: -e for i, e in self._entries.items()})
-
-    def __sub__(self, other: "SupportVector") -> "SupportVector":
-        return self + (-other)
-
-    def shift(self, k: int) -> "SupportVector":
-        """Conjugate by b^k: the entry at index i moves to index i + k."""
-        if k == 0:
-            return self
-        return SupportVector._trusted({i + k: e for i, e in self._entries.items()})
-
-    def mirror(self) -> "SupportVector":
-        """Image under the reversal anti-automorphism: a_i maps to a_-i."""
-        return SupportVector._trusted({-i: e for i, e in self._entries.items()})
-
-    def exponent_sum(self) -> int:
-        """Sum of all exponents; vanishes exactly on derived-subgroup tails."""
-        return sum(self._entries.values())
+def _merge(base: Iterable[tuple[int, int]], pairs: Iterable[tuple[int, int]], k: int = 0) -> Tail:
+    """The tail of `base` (distinct indices) plus `pairs` moved by k:
+    exponents at a repeated index add up and zero sums drop."""
+    lamps = dict(base)
+    for i, e in pairs:
+        i += k
+        v = lamps.get(i, 0) + e
+        if v:
+            lamps[i] = v
+        else:
+            lamps.pop(i, None)
+    return tuple(sorted(lamps.items()))
 
 
 @dataclass(frozen=True)
 class WreathElement:
-    tail: SupportVector = SupportVector()
+    """tail * b^shift, the tail given as (index, exponent) pairs in strictly
+    ascending index order with no zero exponent. That form is unique, so
+    the dataclass equality and hash are group equality; `of` builds it
+    from arbitrary pairs."""
+
+    tail: Tail = ()
     shift: int = 0
+
+    @classmethod
+    def of(cls, lamps: Iterable[tuple[int, int]], shift: int = 0) -> "WreathElement":
+        """The element with these (index, exponent) pairs, in any order and
+        with repeats, followed by b^shift."""
+        return cls(_merge((), lamps), shift)
 
     @classmethod
     def identity(cls) -> "WreathElement":
@@ -144,18 +86,19 @@ class WreathElement:
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         return WreathElement(
-            self.tail.add_shifted(other.tail, -self.shift), self.shift + other.shift
+            _merge(self.tail, other.tail, -self.shift), self.shift + other.shift
         )
 
     def inverse(self) -> "WreathElement":
-        return WreathElement((-self.tail).shift(self.shift), -self.shift)
+        s = self.shift
+        return WreathElement(tuple((i + s, -e) for i, e in self.tail), -s)
 
     def in_derived_subgroup(self) -> bool:
-        return self.shift == 0 and self.tail.exponent_sum() == 0
+        return self.shift == 0 and sum(e for _, e in self.tail) == 0
 
     def to_json(self) -> dict:
         return {
-            "support": {str(i): e for i, e in self.tail.items()},
+            "support": {str(i): e for i, e in self.tail},
             "shift": self.shift,
         }
 
@@ -169,25 +112,22 @@ class WreathElement:
             raise ValueError("shift must be an integer")
         if not isinstance(support, dict):
             raise ValueError("support must be an object with decimal index keys")
-        entries = {}
         for key, val in support.items():
+            # one spelling per index, so no two keys name the same lamp
+            if str(int(key)) != key:
+                raise ValueError(f"support key {key!r} is not a canonical decimal index")
             if not isinstance(val, int) or isinstance(val, bool) or val == 0:
                 raise ValueError(f"support entry {key!r} must be a nonzero integer")
-            entries[int(key)] = val
-        return cls(SupportVector(entries), shift)
-
-    def literal(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        return cls.of(((int(key), val) for key, val in support.items()), shift)
 
     def __str__(self) -> str:
-        return self.literal()
-
-
-_GENERATORS = {"a": WreathElement(SupportVector.unit(0), 0), "b": WreathElement(SupportVector(), 1)}
+        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def evaluate(w: Word) -> WreathElement:
     """Image of a word over {a, b} under a -> unit lamp at 0, b -> shift 1."""
+    # accumulates in place rather than collecting pairs for `_merge`: a
+    # second pass over every a-syllable doubled the cost on long words
     tail: dict[int, int] = {}
     shift = 0
     for gen, exp in w.syllables:
@@ -202,22 +142,23 @@ def evaluate(w: Word) -> WreathElement:
             shift += exp
         else:
             raise ValueError(f"word is not over the alphabet {{a, b}}: {gen!r}")
-    return WreathElement(SupportVector._trusted(tail), shift)
+    return WreathElement(tuple(sorted(tail.items())), shift)
 
 
 def reversal_image(g: WreathElement) -> WreathElement:
     """Image of g under the reversal anti-automorphism (fixes a and b,
     reverses products): evaluate(w.reverse()) == reversal_image(evaluate(w))."""
-    return WreathElement(g.tail.mirror().shift(-g.shift), g.shift)
+    s = g.shift
+    return WreathElement(tuple((-s - i, e) for i, e in reversed(g.tail)), s)
 
 
-def support_word(tail: SupportVector) -> Word:
-    """Canonical word for a tail: ascending lamp walk with blocks
-    b^-i a^(n_i) b^i and the b-travel between blocks fused; one syllable
-    per block and per travel."""
+def support_word(tail: Iterable[tuple[int, int]]) -> Word:
+    """Canonical word for ascending (index, exponent) pairs: ascending lamp
+    walk with blocks b^-i a^(n_i) b^i and the b-travel between blocks
+    fused; one syllable per block and per travel."""
     syllables: list[tuple[str, int]] = []
     pos = 0
-    for i, e in tail.items():
+    for i, e in tail:
         syllables += [("b", pos - i), ("a", e)]
         pos = i
     syllables.append(("b", pos))
@@ -228,22 +169,23 @@ def to_word(g: WreathElement) -> Word:
     return support_word(g.tail) * run_word("b", g.shift)
 
 
-def commutator_with_b(f: SupportVector) -> WreathElement:
-    """[f, b] = f^-1 * f^b as an element."""
-    return WreathElement(f.shift(1) - f, 0)
+def commutator_with_b(f: dict[int, int]) -> WreathElement:
+    """[f, b] = f^-1 * f^b as an element, for the lamp map f."""
+    return WreathElement(_merge(((i, -e) for i, e in f.items()), f.items(), 1), 0)
 
 
 def _check_span(g: WreathElement) -> None:
     """Raise BudgetExceeded when the lamps of g, with index 0, span more
     than the input cap once |shift| is added."""
-    items = g.tail.items()
-    lo = min(0, items[0][0]) if items else 0
-    hi = max(0, items[-1][0]) if items else 0
+    tail = g.tail
+    lo = min(0, tail[0][0]) if tail else 0
+    hi = max(0, tail[-1][0]) if tail else 0
     check_input_span(hi - lo + abs(g.shift), "lamp span plus |shift|")
 
 
-def commutator_witness(g: WreathElement) -> SupportVector:
-    """f with [f, b] = g exactly, for g in the derived subgroup.
+def commutator_witness(g: WreathElement) -> dict[int, int]:
+    """The lamp map f, as {index: exponent} in ascending index order, with
+    [f, b] = g exactly, for g in the derived subgroup.
 
     Writing g's tail entries as n_m ... n_M, the witness has
     f_i = -(n_m + ... + n_i) for m <= i <= M - 1; the final equation closes
@@ -257,32 +199,16 @@ def commutator_witness(g: WreathElement) -> SupportVector:
     return _solve_commutator(g)
 
 
-def _solve_commutator(g: WreathElement) -> SupportVector:
-    items = g.tail.items()
-    if not items:
-        return SupportVector()
-    lo, hi = items[0][0], items[-1][0]
+def _solve_commutator(g: WreathElement) -> dict[int, int]:
     f: dict[int, int] = {}
     acc = 0
-    for i in range(lo, hi):
-        acc += g.tail[i]
+    for (i, e), (j, _) in zip(g.tail, g.tail[1:]):
+        acc += e
         if acc:
-            f[i] = -acc
-    witness = SupportVector(f)
-    if commutator_with_b(witness) != g:
+            f.update(dict.fromkeys(range(i, j), -acc))
+    if commutator_with_b(f) != g:
         raise SelfCheckError("commutator witness failed re-verification")
-    return witness
-
-
-def _check_wreath_certificate(dec: PalindromicDecomposition, g: WreathElement) -> None:
-    try:
-        check_in_group(dec, evaluate)
-    except CertificateError as exc:
-        raise SelfCheckError(f"wreath certificate invalid: {exc}") from exc
-    if evaluate(dec.target) != g:
-        raise SelfCheckError("certificate target does not evaluate to the element")
-    if dec.length > 3:
-        raise SelfCheckError(f"certificate has {dec.length} factors, expected <= 3")
+    return f
 
 
 def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition:
@@ -303,14 +229,14 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
     if canonical.is_palindrome():
         factors: tuple[Word, ...] = (canonical,) if canonical else ()
         dec = PalindromicDecomposition(canonical, factors, AB)
-        _check_wreath_certificate(dec, g)
+        check_group_certificate(dec, evaluate, g, 3)
         return dec
-    k = g.tail.exponent_sum()
+    k = sum(e for _, e in g.tail)
     l = g.shift
-    derived_tail = (g.tail - SupportVector.unit(1, k)).shift(l)
-    f = _solve_commutator(WreathElement(derived_tail, 0)).shift(-l)
+    derived = WreathElement(_merge((), g.tail + ((1, -k),), l), 0)
+    f = [(i - l, e) for i, e in _solve_commutator(derived).items()]
     w_pos = support_word(f)
-    w_neg = support_word(-f)
+    w_neg = support_word((i, -e) for i, e in f)
     b_inv = run_word("b", -1)
     first = w_neg * b_inv * w_neg.reverse()
     middle = w_pos.reverse() * run_word("a", k) * w_pos
@@ -318,13 +244,14 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
     dec = PalindromicDecomposition(
         canonical, tuple(x for x in (first, middle, last) if x), AB
     )
-    _check_wreath_certificate(dec, g)
+    check_group_certificate(dec, evaluate, g, 3)
     return dec
 
 
 def palindrome_witness(g: WreathElement) -> Word | None:
     """A palindromic word evaluating to g, or None exactly when the tail of
-    g is not symmetric under i -> -shift - i.
+    g is not symmetric under i -> -shift - i, that is when g differs from
+    its reversal image.
 
     Reversal is an anti-automorphism (`reversal_image`), so the palindrome
     images are the products u * c * rev(u) with c = 1, a^m or b, and those
@@ -334,13 +261,11 @@ def palindrome_witness(g: WreathElement) -> Word | None:
     an odd shift, a^(tail[-shift/2]) for an even one.
     """
     _check_span(g)
-    s = g.shift
-    items = g.tail.items()
-    if any(g.tail[-s - i] != e for i, e in items):
+    if reversal_image(g) != g:
         return None
-    upper = SupportVector._trusted({i: e for i, e in items if i > -s - i})
-    u = support_word(upper) * run_word("b", s // 2)
-    centre = run_word("b", 1) if s % 2 else run_word("a", g.tail[-(s // 2)])
+    s = g.shift
+    u = support_word((i, e) for i, e in g.tail if 2 * i > -s) * run_word("b", s // 2)
+    centre = run_word("b", 1) if s % 2 else run_word("a", dict(g.tail).get(-s // 2, 0))
     witness = u * centre * u.reverse()
     if not witness.is_palindrome() or evaluate(witness) != g:
         raise SelfCheckError("palindrome witness failed re-verification")

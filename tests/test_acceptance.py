@@ -120,9 +120,9 @@ def test_c6_quotient_homomorphism():
     for _ in range(10_000):
         w = random_word(rng, AB, 14)
         assert heisenberg.from_wreath(wreath.evaluate(w)) == heisenberg.evaluate(w)
-    a0 = wreath.WreathElement(wreath.SupportVector({0: 1}), 0)
-    a1 = wreath.WreathElement(wreath.SupportVector({1: 1}), 0)
-    a2 = wreath.WreathElement(wreath.SupportVector({2: 1}), 0)
+    a0 = wreath.WreathElement.of([(0, 1)])
+    a1 = wreath.WreathElement.of([(1, 1)])
+    a2 = wreath.WreathElement.of([(2, 1)])
     assert heisenberg.from_wreath(a2) == heisenberg.from_wreath(a0.inverse() * a1 * a1)
     _report("C6 quotient homomorphism onto the nilpotent group", start)
 

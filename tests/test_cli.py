@@ -80,6 +80,15 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "--group", "wreath", "a c")
         assert code == 2 and "unknown generator" in err
 
+    @pytest.mark.parametrize(
+        "support", ['{"1": 2, "01": 3}', '{"+1": 1, "1": -1}', '{"1_0": 1}']
+    )
+    def test_non_canonical_support_key_is_usage_error(self, capsys, support):
+        code, out, err = run(
+            capsys, "decompose", "--group", "wreath", f'{{"support": {support}, "shift": 0}}'
+        )
+        assert code == 2 and out == "" and "canonical" in err
+
     def test_bad_group(self, capsys):
         code, out, err = run(capsys, "decompose", "--group", "nope", "a")
         assert code == 2 and out == "" and "'nope'" in err

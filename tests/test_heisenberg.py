@@ -17,7 +17,7 @@ from palwidth.heisenberg import (
 from palwidth.search import enumerate_palindromes
 from palwidth.suites import mat_eval, mat_inv, mat_mul, mat_of_heis
 from palwidth.words import AB, parse
-from palwidth.wreath import SupportVector, WreathElement
+from palwidth.wreath import WreathElement
 from palwidth.wreath import evaluate as wr_evaluate
 
 
@@ -84,15 +84,15 @@ class TestEvaluate:
 class TestQuotient:
     def test_lamp_images(self):
         # a_i maps to (1, 0, -i); the defining relation a_2 = a_0^-1 a_1^2 holds
-        a0 = WreathElement(SupportVector({0: 1}), 0)
-        a1 = WreathElement(SupportVector({1: 1}), 0)
-        a2 = WreathElement(SupportVector({2: 1}), 0)
+        a0 = WreathElement.of([(0, 1)])
+        a1 = WreathElement.of([(1, 1)])
+        a2 = WreathElement.of([(2, 1)])
         assert from_wreath(a2) == HeisElement(1, 0, -2)
         assert from_wreath(a0.inverse() * a1 * a1) == from_wreath(a2)
 
     def test_normal_form_block(self):
         for k, l, m in itertools.product((-2, 0, 1, 3), repeat=3):
-            g = WreathElement(SupportVector({0: k, 1: l}), m)
+            g = WreathElement.of([(0, k), (1, l)], m)
             assert from_wreath(g) == HeisElement(k + l, m, -l)
 
     def test_identity(self):

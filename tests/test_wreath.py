@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from strategies import palindromes, words
 
 from palwidth import search
+from palwidth.heisenberg import from_wreath
 from palwidth.palindromes import check_in_group
 from palwidth.search import BudgetExceeded, enumerate_palindromes
 from palwidth.words import AB, EMPTY, Word, parse, run_word
 from palwidth.wreath import (
     NotInDerivedError,
-    SupportVector,
     WreathElement,
     commutator_witness,
     commutator_with_b,
@@ -36,58 +36,83 @@ def w(text):
 
 
 def elem(support, shift=0):
-    return WreathElement(SupportVector(support), shift)
+    return WreathElement.of(support.items(), shift)
 
 
-class TestSupportVector:
+def is_canonical(tail):
+    return all(i < j for (i, _), (j, _) in zip(tail, tail[1:])) and all(e for _, e in tail)
+
+
+lamp_maps = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3))
+elements = st.builds(elem, lamp_maps, st.integers(-3, 3))
+
+
+class TestTail:
     def test_drops_zeros(self):
-        assert SupportVector({0: 0, 1: 2}) == SupportVector({1: 2})
-        assert not SupportVector()
+        assert WreathElement.of([(0, 0), (1, 2)]).tail == ((1, 2),)
+        assert WreathElement.of([(3, 0)]) == WreathElement.identity()
 
     def test_accumulates_pairs(self):
-        assert SupportVector([(0, 1), (0, -1), (2, 3)]) == SupportVector({2: 3})
+        assert WreathElement.of([(0, 1), (0, -1), (2, 3)]).tail == ((2, 3),)
+        assert WreathElement.of([(5, 1), (-2, 4), (5, 1)]).tail == ((-2, 4), (5, 2))
 
     def test_shift_examples(self):
-        assert SupportVector({0: 1}).shift(1) == SupportVector({1: 1})
-        f = SupportVector({-1: 2, 3: -1})
-        assert f.shift(0) == f
-        assert f.shift(-3) == SupportVector({-4: 2, 0: -1})
+        # conjugating by b^k moves the lamp at index i to i + k
+        def conjugate(g, k):
+            b_k = WreathElement((), k)
+            return b_k.inverse() * g * b_k
+
+        assert conjugate(elem({0: 1}), 1) == elem({1: 1})
+        f = elem({-1: 2, 3: -1})
+        assert conjugate(f, 0) == f
+        assert conjugate(f, -3) == elem({-4: 2, 0: -1})
 
     def test_exponent_sum(self):
-        assert SupportVector().exponent_sum() == 0
-        assert SupportVector({0: -1, 1: 1}).exponent_sum() == 0
-        assert SupportVector({2: 5, -1: -2}).exponent_sum() == 3
+        # the exponent sum is the x-coordinate of the quotient and vanishes
+        # on the shift-0 part of the derived subgroup
+        for lamps, total in (({}, 0), ({0: -1, 1: 1}, 0), ({2: 5, -1: -2}, 3)):
+            assert from_wreath(elem(lamps)).x == total
+            assert elem(lamps).in_derived_subgroup() == (total == 0)
 
     def test_mirror(self):
-        assert SupportVector({-1: 2, 3: 1}).mirror() == SupportVector({1: 2, -3: 1})
+        assert reversal_image(elem({-1: 2, 3: 1})) == elem({1: 2, -3: 1})
 
     def test_arithmetic(self):
-        f = SupportVector({0: 1, 2: -1})
-        g = SupportVector({0: -1, 5: 2})
-        assert f + g == SupportVector({2: -1, 5: 2})
-        assert f - f == SupportVector()
-        assert -f == SupportVector({0: -1, 2: 1})
+        # shift-0 elements multiply by adding their lamps
+        f = elem({0: 1, 2: -1})
+        g = elem({0: -1, 5: 2})
+        assert f * g == elem({2: -1, 5: 2})
+        assert f * f.inverse() == WreathElement.identity()
+        assert f.inverse() == elem({0: -1, 2: 1})
 
-    @given(
-        st.dictionaries(st.integers(-4, 4), st.integers(-3, 3)),
-        st.dictionaries(st.integers(-4, 4), st.integers(-3, 3)),
-        st.integers(-3, 3),
-    )
-    def test_arithmetic_matches_normalised_construction(self, f_raw, g_raw, k):
-        # results built without the normalising pass hold no zero entries
-        # and equal (and hash as) the vectors normalised from scratch
-        f, g = SupportVector(f_raw), SupportVector(g_raw)
+    @given(elements, elements, words(AB, 10),
+           st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), max_size=8))
+    def test_every_construction_is_canonical(self, g, h, u, raw):
+        # each way of building an element yields a strictly ascending,
+        # zero-free tail, equal to (and hashing as) `of` on the raw pairs
+        a_runs = []
+        pos = 0
+        for gen, exp in u.syllables:
+            if gen == "a":
+                a_runs.append((-pos, exp))
+            else:
+                pos += exp
         cases = [
-            (f + g, list(f.items()) + list(g.items())),
-            (f.add_shifted(g, k), list(f.items()) + [(i + k, e) for i, e in g.items()]),
-            (-f, [(i, -e) for i, e in f.items()]),
-            (f.shift(k), [(i + k, e) for i, e in f.items()]),
-            (f.mirror(), [(-i, e) for i, e in f.items()]),
+            (g * h, list(g.tail) + [(i - g.shift, e) for i, e in h.tail], g.shift + h.shift),
+            (g.inverse(), [(i + g.shift, -e) for i, e in g.tail], -g.shift),
+            (reversal_image(g), [(-g.shift - i, e) for i, e in g.tail], g.shift),
+            (evaluate(u), a_runs, pos),
+            (WreathElement.from_json(g.to_json()), list(g.tail), g.shift),
+            (WreathElement.of(raw, 1), raw, 1),
         ]
-        for got, pairs in cases:
-            expected = SupportVector(pairs)
+        for got, pairs, shift in cases:
+            expected = WreathElement.of(pairs, shift)
+            assert is_canonical(got.tail)
             assert got == expected and hash(got) == hash(expected)
-            assert all(e for _, e in got.items())
+        sums = {}
+        for i, e in raw:
+            sums[i] = sums.get(i, 0) + e
+        assert WreathElement.of(raw).tail == tuple(sorted((i, e) for i, e in sums.items() if e))
 
 
 class TestEvaluate:
@@ -102,7 +127,7 @@ class TestEvaluate:
     def test_commutator(self):
         g = evaluate(w("B A b a"))
         assert g == elem({0: 1, 1: -1})
-        assert g.tail.exponent_sum() == 0
+        assert g.in_derived_subgroup()
 
     def test_wrong_alphabet(self):
         from palwidth.words import AT
@@ -127,9 +152,8 @@ class TestEvaluate:
     @given(st.integers(-4, 4), st.integers(-3, 3))
     def test_conjugation_coherence(self, index, k):
         # words that evaluate into the lamp subgroup shift by +k under b^-k . b^k
-        f = SupportVector({index: 2, index + 2: -1})
-        word = run_word("b", -k) * support_word(f) * run_word("b", k)
-        assert evaluate(word) == WreathElement(f.shift(k), 0)
+        word = run_word("b", -k) * support_word(((index, 2), (index + 2, -1))) * run_word("b", k)
+        assert evaluate(word) == elem({index + k: 2, index + 2 + k: -1})
 
 
 class TestWords:
@@ -140,8 +164,8 @@ class TestWords:
         assert evaluate(to_word(g)) == g
 
     def test_single_block(self):
-        assert support_word(SupportVector({1: 1})) == w("B a b")
-        assert support_word(SupportVector({-1: 2, 3: -1})) == w("b a^2 b^-4 A b^3")
+        assert support_word(((1, 1),)) == w("B a b")
+        assert support_word(((-1, 2), (3, -1))) == w("b a^2 b^-4 A b^3")
 
 
 class TestDerived:
@@ -156,16 +180,16 @@ class TestWitness:
     def test_commutator_of_generators(self):
         c = elem({0: -1, 1: 1})
         f = commutator_witness(c)
-        assert f == SupportVector({0: 1})
+        assert f == {0: 1}
         assert commutator_with_b(f) == c
 
     def test_identity(self):
-        assert commutator_witness(WreathElement.identity()) == SupportVector()
+        assert commutator_witness(WreathElement.identity()) == {}
 
     def test_prefix_sums(self):
         c = elem({-2: 1, 0: -2, 3: 1})
         f = commutator_witness(c)
-        assert f == SupportVector({-2: -1, -1: -1, 0: 1, 1: 1, 2: 1})
+        assert list(f.items()) == [(-2, -1), (-1, -1), (0, 1), (1, 1), (2, 1)]
         assert commutator_with_b(f) == c
 
     def test_rejects_non_derived(self):
@@ -176,10 +200,10 @@ class TestWitness:
 
     @given(st.dictionaries(st.integers(-6, 6), st.integers(-6, 6), max_size=8))
     def test_witness_property(self, support):
-        tail = SupportVector(support)
-        tail = tail - SupportVector.unit(0, tail.exponent_sum())
-        c = WreathElement(tail, 0)
-        assert commutator_with_b(commutator_witness(c)) == c
+        c = WreathElement.of([*support.items(), (0, -sum(support.values()))])
+        f = commutator_witness(c)
+        assert commutator_with_b(f) == c
+        assert list(f) == sorted(f)
 
 
 class TestThreePalindromes:
@@ -312,7 +336,7 @@ class TestClassify:
     def test_one_changed_lamp_breaks_the_symmetry(self, p, index, exponent):
         # changing one lamp off the fixed point leaves it without its partner
         g = evaluate(p)
-        changed = WreathElement(g.tail + SupportVector.unit(index, exponent), g.shift)
+        changed = WreathElement.of(g.tail + ((index, exponent),), g.shift)
         if exponent and 2 * index != -g.shift:
             assert palindrome_witness(changed) is None
         else:
@@ -322,8 +346,8 @@ class TestClassify:
         # in a child capped at 1 GiB: an uncapped routine that walked 10^8
         # lamp indices would exhaust the memory of the machine running the tests
         code = (
-            "from palwidth.wreath import SupportVector, WreathElement, palindrome_witness\n"
-            "palindrome_witness(WreathElement(SupportVector({0: 1, 10**8: 1}), 1))\n"
+            "from palwidth.wreath import WreathElement, palindrome_witness\n"
+            "palindrome_witness(WreathElement(((0, 1), (10**8, 1)), 1))\n"
         )
 
         def cap_memory():
@@ -343,9 +367,8 @@ class TestClassify:
         # the witness of an element at the cap is the uncapped one
         g = evaluate(p)
         witness = palindrome_witness(g)
-        items = g.tail.items()
-        lo = min([0] + [i for i, _ in items])
-        hi = max([0] + [i for i, _ in items])
+        lo = min([0] + [i for i, _ in g.tail])
+        hi = max([0] + [i for i, _ in g.tail])
         span = hi - lo + abs(g.shift)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(search, "MAX_INPUT_SPAN", span)
@@ -358,7 +381,7 @@ class TestClassify:
 class TestJson:
     def test_round_trip(self):
         g = elem({-1: 2, 0: -2}, 3)
-        doc = json.loads(g.literal())
+        doc = json.loads(str(g))
         assert doc == {"support": {"-1": 2, "0": -2}, "shift": 3}
         assert WreathElement.from_json(doc) == g
 
@@ -371,3 +394,11 @@ class TestJson:
             WreathElement.from_json({"shift": 0})
         with pytest.raises(ValueError):
             WreathElement.from_json({"support": {"0": True}, "shift": 0})
+
+    @pytest.mark.parametrize("key", ["01", "+1", "1_0", " 1", "-0", "1.0", "x"])
+    def test_rejects_non_canonical_keys(self, key):
+        # every index has one spelling, so a second key cannot overwrite it
+        with pytest.raises(ValueError):
+            WreathElement.from_json({"support": {key: 1}, "shift": 0})
+        with pytest.raises(ValueError):
+            WreathElement.from_json({"support": {"1": 2, key: 3}, "shift": 0})
