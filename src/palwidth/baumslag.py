@@ -13,18 +13,35 @@ t^k a^l t^k . t^(-m-k) exhibits it as a product of two palindromes.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
-from .search import Evaluator, check_digits, check_input_span
+from .search import MAX_DIGITS, BudgetExceeded, Evaluator, check_digits, check_input_span
 from .words import AT, Word, run_word
 
 
 def _check_parameter(n: int) -> None:
     if abs(n) < 2:
         raise ValueError(f"group parameter must satisfy |n| >= 2, got {n}")
+
+
+# |n|^x >= 2^(x * (bit_length(|n|) - 1)), so past this many bits a power of
+# n alone has more than MAX_DIGITS decimal digits
+_POWER_BITS = int(MAX_DIGITS * math.log2(10))
+
+
+def _power(n: int, x: int) -> int:
+    """n**x, refused with BudgetExceeded before it is formed when its bit
+    length alone puts it over the digit cap. With x under the span cap,
+    only |n| >= 16 can reach that."""
+    if x * (abs(n).bit_length() - 1) > _POWER_BITS:
+        raise BudgetExceeded(
+            f"a power n^{x} of the group parameter has more than {MAX_DIGITS} "
+            "decimal digits, over the digit cap"
+        )
+    return n**x
 
 
 def _lowest_terms(num: int, den_exp: int, n: int) -> tuple[int, int]:
@@ -103,7 +120,11 @@ class BSElement:
         return cls(doc["num"], doc["den_exp"], doc["dil"], doc["n"])
 
     def __str__(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        # json.dumps(self.to_json(), sort_keys=True) without the encoder
+        return (
+            f'{{"den_exp": {self.den_exp}, "dil": {self.dil}, '
+            f'"n": {self.n}, "num": {self.num}}}'
+        )
 
 
 def evaluate(w: Word, n: int) -> BSElement:
@@ -113,7 +134,8 @@ def evaluate(w: Word, n: int) -> BSElement:
     # the rational of the normalised products, so normalising once at the
     # end gives the same element. A zero translation keeps den_exp 0, so a
     # leading t^-k leaves no n^k to strip. The numbers grow like
-    # n^(total |t|-exponent), which is capped.
+    # n^(total |t|-exponent), which is capped, and `_power` refuses a power
+    # of n that alone is over the digit cap.
     check_input_span(
         sum(abs(e) for g, e in w.syllables if g == "t"), "total |t|-exponent of the word"
     )
@@ -121,12 +143,12 @@ def evaluate(w: Word, n: int) -> BSElement:
     num = den_exp = dil = 0
     for gen, exp in w.syllables:
         if gen == "a":
-            num += exp * n**den_exp
+            num += exp * _power(n, den_exp)
         elif gen == "t":
             if num:
                 den_exp -= exp
                 if den_exp < 0:
-                    num *= n ** (-den_exp)
+                    num *= _power(n, -den_exp)
                     den_exp = 0
             dil += exp
         else:
@@ -147,7 +169,8 @@ def normal_form(g: BSElement) -> tuple[int, int, int]:
     # no word for g has a smaller total |t|-exponent than k + m, so an
     # element evaluated from a word under the cap stays under it here
     check_input_span(k + m, "total |t|-exponent of the normal form")
-    l = g.num * g.n ** (m - g.den_exp)
+    # a zero translation needs no power of n
+    l = g.num * _power(g.n, m - g.den_exp) if g.num else 0
     # certificates print l, and every other number of the element is shorter
     check_digits(l, "a-exponent of the normal form")
     if evaluate(normal_form_word(k, l, m), g.n) != g:

@@ -46,11 +46,22 @@ def lookup_group(label: str) -> Evaluator:
     raise ValueError(f"unknown group {label!r} (expected wreath, heis or bs:N)")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object with each key once; json.loads would keep the last of
+    a repeated key and silently drop the others."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r} in the element literal")
+        doc[key] = value
+    return doc
+
+
 def _read_element(group: Evaluator, text: str):
     """An element of `group` given as a JSON element literal or as word text."""
     text = text.strip()
     if text.startswith("{"):
-        return group.decode(json.loads(text))
+        return group.decode(json.loads(text, object_pairs_hook=_unique_keys))
     return group.eval(parse(text, group.alphabet))
 
 

@@ -9,6 +9,10 @@ The quotient map from the wreath product sends the lamp generator a_i to
 (1, 0, -i) and the shift generator to (0, 1, 0); it agrees letterwise with
 `evaluate` here.
 
+`HeisElement` is a plain tuple-backed record (a NamedTuple): its tuple
+equality and hash are group equality, and its `str` is the JSON literal
+[x, y, z], byte for byte what `json.dumps(h.to_json())` prints.
+
 Palindrome images are exactly the triples with 2z = xy: they are the fixed
 points of the reversal anti-automorphism (x, y, z) -> (x, y, xy - z), and
 whenever xy is even the explicit words b^(y/2) a^x b^(y/2) or
@@ -19,9 +23,8 @@ to a linear Diophantine condition, decided exactly in
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .palindromes import SelfCheckError
 from .search import Evaluator
@@ -29,8 +32,9 @@ from .words import AB, EMPTY, Word, run_word
 from .wreath import WreathElement
 
 
-@dataclass(frozen=True)
-class HeisElement:
+class HeisElement(NamedTuple):
+    """a^x b^y [b,a]^z."""
+
     x: int = 0
     y: int = 0
     z: int = 0
@@ -63,7 +67,7 @@ class HeisElement:
         return cls(*doc)
 
     def __str__(self) -> str:
-        return json.dumps(self.to_json())
+        return f"[{self.x}, {self.y}, {self.z}]"
 
 
 def evaluate(w: Word) -> HeisElement:

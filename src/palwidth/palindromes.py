@@ -83,11 +83,14 @@ def check_free(dec: PalindromicDecomposition) -> None:
         )
 
 
-def check_in_group(dec: PalindromicDecomposition, evaluate: Callable[[Word], object]) -> None:
-    """Validate with group equality decided by an exact evaluator."""
+def check_in_group(dec: PalindromicDecomposition, evaluate: Callable[[Word], object]) -> object:
+    """Validate with group equality decided by an exact evaluator; returns
+    the target's value, so a caller need not evaluate it again."""
     product = _check_factors(dec)
-    if evaluate(product) != evaluate(dec.target):
+    value = evaluate(dec.target)
+    if evaluate(product) != value:
         raise CertificateError("factor product differs from target in the group")
+    return value
 
 
 def check_group_certificate(
@@ -100,10 +103,10 @@ def check_group_certificate(
     `check_in_group`, its target evaluates to `element` and it has at most
     `bound` factors. A failure is a bug, raised as SelfCheckError."""
     try:
-        check_in_group(dec, evaluate)
+        value = check_in_group(dec, evaluate)
     except CertificateError as exc:
         raise SelfCheckError(f"certificate invalid: {exc}") from exc
-    if evaluate(dec.target) != element:
+    if value != element:
         raise SelfCheckError("certificate target does not evaluate to the element")
     if dec.length > bound:
         raise SelfCheckError(f"certificate has {dec.length} factors, expected <= {bound}")

@@ -301,10 +301,12 @@ def ball_table(ev: Evaluator, radius: int, max_states: int | None = None) -> Bal
                     continue  # a cancelling letter revisits a shorter element
                 enc = mul(enc_w, enc_c)
                 if enc not in entries:
-                    if gen == last_gen:  # the letter lengthens the last syllable
-                        nw = Word(syls[:-1] + ((gen, last_exp + sign),))
+                    # reduced by construction: the letter lengthens the last
+                    # syllable with its own sign or starts a new generator
+                    if gen == last_gen:
+                        nw = Word._trusted(syls[:-1] + ((gen, last_exp + sign),))
                     else:
-                        nw = Word(syls + (c,))
+                        nw = Word._trusted(syls + (c,))
                     entries[enc] = (depth, nw)
                     new.append(enc)
                     if max_states is not None and len(entries) > max_states:

@@ -8,7 +8,9 @@ Conventions, from which everything else is derived:
     lamp indices to integer exponents, stored as a tuple of
     (index, exponent) pairs in strictly ascending index order with no
     zero exponent. The form is unique, so `WreathElement` is a plain
-    frozen record whose own equality and hash decide group equality.
+    tuple-backed record (a NamedTuple) whose own tuple equality and hash
+    decide group equality; its `str` is the JSON element literal, byte for
+    byte what `json.dumps(g.to_json(), sort_keys=True)` prints.
 
 `evaluate` sends a to the unit lamp at index 0 and b to a bare shift; its
 homomorphism property is the binding contract that pins every sign choice,
@@ -33,10 +35,8 @@ The three constructive procedures:
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
 from .search import Evaluator, check_input_span
@@ -64,12 +64,11 @@ def _merge(base: Iterable[tuple[int, int]], pairs: Iterable[tuple[int, int]], k:
     return tuple(sorted(lamps.items()))
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(NamedTuple):
     """tail * b^shift, the tail given as (index, exponent) pairs in strictly
     ascending index order with no zero exponent. That form is unique, so
-    the dataclass equality and hash are group equality; `of` builds it
-    from arbitrary pairs."""
+    the tuple equality and hash are group equality; `of` builds it from
+    arbitrary pairs."""
 
     tail: Tail = ()
     shift: int = 0
@@ -85,9 +84,13 @@ class WreathElement:
         return cls()
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        return WreathElement(
-            _merge(self.tail, other.tail, -self.shift), self.shift + other.shift
-        )
+        s = self.shift
+        if not other.tail:  # a pure shift moves no lamp
+            return WreathElement(self.tail, s + other.shift)
+        if not self.tail:  # nothing to merge into: the right tail, moved by -s
+            tail = tuple((i - s, e) for i, e in other.tail) if s else other.tail
+            return WreathElement(tail, s + other.shift)
+        return WreathElement(_merge(self.tail, other.tail, -s), s + other.shift)
 
     def inverse(self) -> "WreathElement":
         s = self.shift
@@ -121,7 +124,10 @@ class WreathElement:
         return cls.of(((int(key), val) for key, val in support.items()), shift)
 
     def __str__(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        # json.dumps(self.to_json(), sort_keys=True) without the encoder: the
+        # support keys sort as strings, so "-1" < "-2" < "0" < "10" < "2"
+        lamps = ", ".join(f'"{k}": {e}' for k, e in sorted((str(i), e) for i, e in self.tail))
+        return f'{{"shift": {self.shift}, "support": {{{lamps}}}}}'
 
 
 def evaluate(w: Word) -> WreathElement:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from strategies import words
 from palwidth.baumslag import (
     BSElement,
     _lowest_terms,
+    _POWER_BITS,
     evaluate,
     evaluator,
     normal_form,
@@ -13,7 +16,7 @@ from palwidth.baumslag import (
     two_palindrome_decomposition,
 )
 from palwidth.palindromes import check_in_group
-from palwidth.search import pal_length_bounded
+from palwidth.search import MAX_DIGITS, MAX_INPUT_SPAN, BudgetExceeded, pal_length_bounded
 from palwidth.words import AB, AT, EMPTY, parse, reduce
 
 NS = (2, 3, -2)
@@ -205,6 +208,54 @@ class TestBoundedPalindromeSearch:
 
     def test_ta_not_palindromic_within_bound(self):
         assert not pal_length_bounded(evaluator(2), evaluate(w("t a"), 2), 1, 9).found
+
+
+class TestPowerCap:
+    def power_cap(self, n):
+        """The largest x for which n**x is formed."""
+        return _POWER_BITS // (abs(n).bit_length() - 1)
+
+    @pytest.mark.parametrize("n", [2, -2, 3, 10, 15, -15])
+    def test_span_cap_keeps_small_parameters_under_it(self, n):
+        # every power formed under the span cap is allowed, so a small n
+        # never meets the power cap
+        assert self.power_cap(n) >= MAX_INPUT_SPAN
+
+    @pytest.mark.parametrize("n", [16, -16, 1000])
+    def test_larger_parameters_meet_it_under_the_span_cap(self, n):
+        cap = self.power_cap(n)
+        assert cap < MAX_INPUT_SPAN
+        # past the cap the power alone is over the digit cap
+        assert abs(n) ** (cap + 1) >= 10**MAX_DIGITS
+        assert evaluate(w(f"a t^-{cap} a"), n).num == 1 + n**cap
+        with pytest.raises(BudgetExceeded, match=rf"a power n\^{cap + 1} "):
+            evaluate(w(f"a t^-{cap + 1} a"), n)
+
+    # n = 2^20 has a power cap of 16,609; a missing check would form the
+    # power quickly and trip only the later digit check
+    def test_evaluate_refuses_before_the_power(self):
+        for text in ("t^-20000 a t^20000", "a t^-20000 a"):
+            with pytest.raises(BudgetExceeded, match=r"a power n\^20000 "):
+                evaluate(w(text), 1 << 20)
+
+    def test_normal_form_refuses_before_the_power(self):
+        with pytest.raises(BudgetExceeded, match=r"a power n\^20000 "):
+            normal_form(BSElement(1, 0, -20000, 1 << 20))
+
+    def test_a_cancelled_power_is_refused_too(self):
+        # a^16 t^-1 a^-1 t is the identity in BS(1, 16), but its letters pass
+        # through 16^90000; the element a t^-90000 itself needs no power
+        with pytest.raises(BudgetExceeded, match=r"a power n\^90000 "):
+            evaluate(w("a t^-90000 a^16 t^-1 a^-1 t"), 16)
+        assert normal_form(evaluate(w("a t^-90000"), 16)) == (0, 1, 90000)
+
+
+@given(
+    st.integers(), st.integers(0, 40), st.integers(-40, 40), st.sampled_from((2, 3, -2, 10, -17))
+)
+def test_str_is_the_sorted_json_literal(num, den_exp, dil, n):
+    g = BSElement(num, den_exp, dil, n)
+    assert str(g) == json.dumps(g.to_json(), sort_keys=True)
 
 
 def test_json_round_trip():

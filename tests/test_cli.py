@@ -89,6 +89,18 @@ class TestDecompose:
         )
         assert code == 2 and out == "" and "canonical" in err
 
+    @pytest.mark.parametrize(
+        "group, literal",
+        [
+            ("wreath", '{"support": {"1": 2, "1": 3}, "shift": 0}'),
+            ("bs:3", '{"num": 1, "den_exp": 0, "dil": 0, "n": 3, "num": 2}'),
+        ],
+    )
+    def test_repeated_key_is_usage_error(self, capsys, group, literal):
+        # json.loads alone keeps the last value of a repeated key
+        code, out, err = run(capsys, "decompose", "--group", group, literal)
+        assert code == 2 and out == "" and "repeated key" in err
+
     def test_bad_group(self, capsys):
         code, out, err = run(capsys, "decompose", "--group", "nope", "a")
         assert code == 2 and out == "" and "'nope'" in err
@@ -278,6 +290,7 @@ class TestLookupGroup:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_SPACE = 1 << 30  # bytes
+HUGE_BS = "bs:" + "7" * 1000
 
 
 def run_capped(*argv):
@@ -357,6 +370,22 @@ class TestInputCap:
         assert seconds < 5
         assert proc.stdout == ""
         assert "more than 100000 decimal digits, over the digit cap" in proc.stderr
+
+    def test_huge_group_parameter_exits_with_the_budget_code(self):
+        # n^50000 for a 1,000-digit n would have 5 * 10^7 digits; the power
+        # is refused before it is formed
+        proc, seconds = run_capped("decompose", "--group", HUGE_BS, "t^-50000 a t^50000")
+        assert proc.returncode == 3, proc.stderr
+        assert seconds < 5
+        assert proc.stdout == ""
+        assert "more than 100000 decimal digits, over the digit cap" in proc.stderr
+
+    def test_huge_group_parameter_zero_translation_certifies(self):
+        # the normal form t^0 a^0 t^-90000 needs no power of n
+        proc, seconds = run_capped("decompose", "--group", HUGE_BS, "t^-90000", "--recheck")
+        assert proc.returncode == 0, proc.stderr
+        assert seconds < 5
+        assert json.loads(proc.stdout)["factors"] == ["t^-90000"]
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -208,6 +209,22 @@ class TestTwoPalindromeProduct:
             w1, w2 = pair
             assert w1.is_palindrome() and w2.is_palindrome()
             assert evaluate(w1) * evaluate(w2) == h
+
+
+@given(st.integers(), st.integers(), st.integers())
+def test_str_is_the_json_literal(x, y, z):
+    h = HeisElement(x, y, z)
+    assert str(h) == json.dumps(h.to_json())
+
+
+@given(triples, triples)
+def test_results_equal_fresh_records(g, h):
+    # a tuple-backed record: whatever builds it equals and hashes like the
+    # record built from its own fields
+    for got in (g * h, g.inverse(), HeisElement.from_json(g.to_json()), evaluate(w("ab"))):
+        fresh = HeisElement(got.x, got.y, got.z)
+        assert type(got) is HeisElement
+        assert got == fresh and hash(got) == hash(fresh)
 
 
 def test_json_round_trip():

@@ -7,13 +7,16 @@ from palwidth.palindromes import (
     CertificateError,
     NotAPalindromeError,
     PalindromicDecomposition,
+    SelfCheckError,
     check_free,
+    check_group_certificate,
     combine_coset_decomposition,
     commutator_decomposition,
     conjugate_decomposition,
     pal_pair_power,
     pal_power,
 )
+from palwidth import wreath
 from palwidth.words import AB, AT, EMPTY, Word, parse
 
 
@@ -190,3 +193,37 @@ class TestChecker:
         t = parse("t", AT)
         with pytest.raises(CertificateError):
             check_free(PalindromicDecomposition(t, (t,), AB))
+
+
+class TestGroupCertificate:
+    """`check_group_certificate`, the self-check of the group-level
+    constructors, over Z wr Z."""
+
+    def test_evaluates_product_and_target_once_each(self, monkeypatch):
+        # the decomposition evaluates nothing but its one self-check
+        calls = []
+        original = wreath.evaluate
+
+        def counting(word):
+            calls.append(word)
+            return original(word)
+
+        monkeypatch.setattr(wreath, "evaluate", counting)
+        g = wreath.WreathElement.of([(-20100, 2)], -4)
+        wreath.three_palindrome_decomposition(g)
+        assert len(calls) == 2
+
+    def test_wrong_product(self):
+        dec = PalindromicDecomposition(w("ab"), (w("a"), w("b"), w("a")), AB)
+        with pytest.raises(SelfCheckError, match="certificate invalid: factor product differs"):
+            check_group_certificate(dec, wreath.evaluate, wreath.evaluate(w("ab")), 3)
+
+    def test_target_is_another_element(self):
+        dec = PalindromicDecomposition(w("ab"), (w("a"), w("b")), AB)
+        with pytest.raises(SelfCheckError, match="target does not evaluate to the element"):
+            check_group_certificate(dec, wreath.evaluate, wreath.evaluate(w("ba")), 3)
+
+    def test_too_many_factors(self):
+        dec = PalindromicDecomposition(w("ab"), (w("a"), w("b")), AB)
+        with pytest.raises(SelfCheckError, match="2 factors, expected <= 1"):
+            check_group_certificate(dec, wreath.evaluate, wreath.evaluate(w("ab")), 1)

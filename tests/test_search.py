@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 
@@ -245,6 +246,24 @@ class TestHistogram:
             for enc in brute_ball(ev, radius):
                 expected[str(least.get(enc, "unknown"))] += 1
             assert pal_length_histogram(ev, radius, 3, 4) == expected, radius
+
+    def test_callback_counts_of_the_radius_10_heis_histogram(self):
+        # the search does the same group work whatever the element encoding:
+        # the ball BFS and the histogram's level builds and joins together
+        calls = {"mul": 0, "inv": 0}
+
+        def counted(kind, fn):
+            def wrapped(*args):
+                calls[kind] += 1
+                return fn(*args)
+
+            return wrapped
+
+        ev = heisenberg.evaluator()
+        ev = dataclasses.replace(ev, mul=counted("mul", ev.mul), inv=counted("inv", ev.inv))
+        hist = pal_length_histogram(ev, 10, 3, 10)
+        assert hist == {"0": 1, "1": 160, "2": 3472, "3": 676, "unknown": 0}
+        assert calls["mul"] == 35_700 and calls["inv"] == 161
 
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_requires_a_palindrome_length(self, max_len):

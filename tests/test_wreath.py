@@ -86,10 +86,12 @@ class TestTail:
         assert f.inverse() == elem({0: -1, 2: 1})
 
     @given(elements, elements, words(AB, 10),
-           st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), max_size=8))
-    def test_every_construction_is_canonical(self, g, h, u, raw):
+           st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), max_size=8),
+           st.integers(-3, 3))
+    def test_every_construction_is_canonical(self, g, h, u, raw, k):
         # each way of building an element yields a strictly ascending,
         # zero-free tail, equal to (and hashing as) `of` on the raw pairs
+        # and the record built afresh from its own fields
         a_runs = []
         pos = 0
         for gen, exp in u.syllables:
@@ -97,8 +99,11 @@ class TestTail:
                 a_runs.append((-pos, exp))
             else:
                 pos += exp
+        b_k = WreathElement((), k)  # the products with a lampless factor skip the merge
         cases = [
             (g * h, list(g.tail) + [(i - g.shift, e) for i, e in h.tail], g.shift + h.shift),
+            (g * b_k, list(g.tail), g.shift + k),
+            (b_k * g, [(i - k, e) for i, e in g.tail], g.shift + k),
             (g.inverse(), [(i + g.shift, -e) for i, e in g.tail], -g.shift),
             (reversal_image(g), [(-g.shift - i, e) for i, e in g.tail], g.shift),
             (evaluate(u), a_runs, pos),
@@ -107,8 +112,10 @@ class TestTail:
         ]
         for got, pairs, shift in cases:
             expected = WreathElement.of(pairs, shift)
-            assert is_canonical(got.tail)
+            fresh = WreathElement(tuple(got.tail), got.shift)
+            assert type(got) is WreathElement and is_canonical(got.tail)
             assert got == expected and hash(got) == hash(expected)
+            assert got == fresh and hash(got) == hash(fresh)
         sums = {}
         for i, e in raw:
             sums[i] = sums.get(i, 0) + e
@@ -379,6 +386,20 @@ class TestClassify:
 
 
 class TestJson:
+    @given(st.dictionaries(st.integers(-10**6, 10**6), st.integers(-10**9, 10**9)),
+           st.integers(-10**6, 10**6))
+    def test_str_is_the_sorted_json_literal(self, lamps, shift):
+        # support keys sort as strings: "-1" < "-2" < "0" < "10" < "2"
+        g = elem(lamps, shift)
+        assert str(g) == json.dumps(g.to_json(), sort_keys=True)
+
+    def test_str_sorts_keys_as_strings(self):
+        g = elem({-1: 1, -2: 2, 0: 3, 10: 4, 2: 5}, -7)
+        assert str(g) == (
+            '{"shift": -7, "support": {"-1": 1, "-2": 2, "0": 3, "10": 4, "2": 5}}'
+        )
+        assert str(WreathElement.identity()) == '{"shift": 0, "support": {}}'
+
     def test_round_trip(self):
         g = elem({-1: 2, 0: -2}, 3)
         doc = json.loads(str(g))
