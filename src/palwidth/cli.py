@@ -98,11 +98,20 @@ def recheck_certificate(doc: dict) -> bool:
         return False
 
 
+def _open_out(path: str, newline: str | None = None):
+    """The --out file, opened for writing; a path that cannot be written
+    is a usage error, not a verification failure."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out file: {exc}") from None
+
+
 def _emit(args, payload: str) -> None:
-    print(payload)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(payload + "\n")
+    print(payload)
 
 
 def cmd_decompose(args) -> int:
@@ -149,7 +158,7 @@ def cmd_explore(args) -> int:
     if args.radius is not None and args.max_len is None:
         table = ball_table(ev, args.radius, max_states=args.budget)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            with _open_out(args.out, newline="") as fh:
                 write_ball_csv(table, ev, fh)
         else:
             write_ball_csv(table, ev, sys.stdout)

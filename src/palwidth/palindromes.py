@@ -16,6 +16,7 @@ that reduce to the empty word are dropped, so the counts are upper bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .words import Alphabet, Word
@@ -54,23 +55,26 @@ class PalindromicDecomposition:
 
 def _check_factors(dec: PalindromicDecomposition) -> Word:
     """Shared factor checks; returns the reduced factor product."""
-    names = dec.context.names
+    allowed = set(dec.context.names)
     product = Word()
     for f in dec.factors:
         if not f:
             raise CertificateError("certificate contains an empty factor")
         if not f.is_palindrome():
             raise CertificateError(f"factor {str(f)!r} is not a palindrome")
-        for gen, _ in f.syllables:
-            if gen not in names:
-                raise CertificateError(f"factor letter {gen!r} outside the alphabet")
+        _check_alphabet(f, allowed, "factor")
         product = product * f
-    for gen, _ in dec.target.syllables:
-        if gen not in names:
-            raise CertificateError(f"target letter {gen!r} outside the alphabet")
+    _check_alphabet(dec.target, allowed, "target")
     if dec.target and not dec.factors:
         raise CertificateError("nonempty target with no factors")
     return product
+
+
+def _check_alphabet(w: Word, allowed: set[str], what: str) -> None:
+    """Raise CertificateError naming the first letter of w outside `allowed`."""
+    if not allowed.issuperset(map(itemgetter(0), w.syllables)):
+        gen = next(g for g, _ in w.syllables if g not in allowed)
+        raise CertificateError(f"{what} letter {gen!r} outside the alphabet")
 
 
 def check_free(dec: PalindromicDecomposition) -> None:

@@ -13,7 +13,9 @@ element by the generator images instead of re-evaluating whole words.
 The length search builds levels of d-fold palindrome products lazily;
 the histogram tests membership in a level once it is built and only
 otherwise runs a meet-in-the-middle hash join, against each level's
-inverses computed once.
+inverses computed once. It builds a level early once the joins into it
+have tried as many products as the build takes, when that fits under the
+state cap.
 
 All tie-breaking is shortlex in the fixed letter order a < a^-1 < b < ...,
 so identical inputs produce identical outputs, witnesses included.
@@ -63,6 +65,13 @@ def check_input_span(span: int, what: str) -> None:
 # the command line raises the interpreter's integer-string limit (4,300
 # digits by default) to this bound.
 MAX_DIGITS = MAX_INPUT_SPAN
+
+
+def check_budget(max_states: int | None) -> None:
+    """Raise ValueError for a state cap below 1: no search fits under it,
+    since the identity alone is one state."""
+    if max_states is not None and max_states < 1:
+        raise ValueError("budget must be at least 1")
 
 
 def check_digits(value: int, what: str) -> None:
@@ -152,6 +161,7 @@ class _PalProductIndex:
     with backpointers for witness reconstruction."""
 
     def __init__(self, ev: Evaluator, max_len: int, max_states: int | None) -> None:
+        check_budget(max_states)
         self.ev = ev
         self.max_states = max_states
         self.states = 0
@@ -166,6 +176,7 @@ class _PalProductIndex:
             {enc: (w, None) for enc, w in base.items()},
         ]
         self._inverses: dict[int, list[tuple[Any, Any]]] = {}
+        self._joined: dict[int, int] = {}  # products tried by joins into a level
         self._count(len(base), 1)
 
     def _count(self, added: int, depth: int) -> None:
@@ -202,33 +213,60 @@ class _PalProductIndex:
     def find(self, target: Any, k: int) -> tuple[Word, ...] | None:
         """First split of `target` into a product of exactly k palindromes."""
         left = (k + 1) // 2
-        right = k - left
         self.ensure(left)
-        if right == 0:
+        if k == left:
             if target in self.levels[left]:
                 return self.factors(left, target)
             return None
+        split, _ = self._meet(target, k)
+        if split is None:
+            return None
+        return self.factors(left, split[0]) + self.factors(k - left, split[1])
+
+    def _meet(self, target: Any, k: int) -> tuple[tuple[Any, Any] | None, int]:
+        """The first split of `target` as (level ⌈k/2⌉ encoding, level ⌊k/2⌋
+        encoding), or None, by a hash join over the smaller level; with the
+        number of products the join tried."""
+        left = (k + 1) // 2
+        right = k - left
         lhs, rhs = self.levels[left], self.levels[right]
         mul = self.ev.mul
+        tried = 0
         if len(rhs) <= len(lhs):
             for enc_r, inv_r in self.inverses(right):
+                tried += 1
                 need = mul(target, inv_r)
                 if need in lhs:
-                    return self.factors(left, need) + self.factors(right, enc_r)
+                    return (need, enc_r), tried
         else:
             for enc_l, inv_l in self.inverses(left):
+                tried += 1
                 need = mul(inv_l, target)
                 if need in rhs:
-                    return self.factors(left, enc_l) + self.factors(right, need)
-        return None
+                    return (enc_l, need), tried
+        return None, tried
 
     def reaches(self, target: Any, k: int) -> bool:
         """Whether `target` is a product of exactly k palindromes. Builds the
-        same levels as `find`; a level built already answers by membership."""
+        same levels as `find`, and a built level answers by membership.
+
+        Level k itself is built early, when level k - 1 is built and the
+        joins into level k have tried as many products as building it takes,
+        |L_(k-1)| * |L_1|, but only when that many new states still fit
+        under the cap: such a build never raises, so the cap trips on the
+        same inputs, at the same depth, as without it."""
         self.ensure((k + 1) // 2)
         if k < len(self.levels):
             return target in self.levels[k]
-        return self.find(target, k) is not None
+        split, tried = self._meet(target, k)
+        if k == len(self.levels):
+            self._joined[k] = joined = self._joined.get(k, 0) + tried
+            build = len(self.levels[k - 1]) * len(self.base)
+            if joined >= build and (
+                self.max_states is None or self.states + build <= self.max_states
+            ):
+                self.ensure(k)
+        return split is not None
 
 
 def _check_bounds(max_factors: int, max_len: int) -> None:
@@ -285,6 +323,7 @@ def ball_table(ev: Evaluator, radius: int, max_states: int | None = None) -> Bal
     (length, shortlex witness) order."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    check_budget(max_states)
     identity = ev.eval(EMPTY)
     entries: dict[Any, tuple[int, Word]] = {identity: (0, EMPTY)}
     frontier: list[Any] = [identity]

@@ -7,7 +7,9 @@ generator, each with a nonzero integer exponent, no two neighbours
 sharing a generator. The certificates of the paper have few syllables and
 huge exponents (a^(n^m) in BS(1, n)), so `a^200000000` is a single
 syllable, and parsing, formatting, products, inversion, reversal and the
-palindrome test cost time in the number of syllables, not letters. `len`
+palindrome test cost time in the number of syllables, not letters.
+`parse` checks whether its tokens are already reduced, as every formatted
+word is, and refolds only text that is not. `len`
 still counts letters; `.letters` expands a word one entry per letter, for
 short-word code such as enumerators and oracles. Words are deliberately
 not iterable: a caller picks `.syllables` or `.letters`.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import eq, itemgetter
 from typing import Iterable
 
 Letter = tuple[str, int]  # (generator name, +1 or -1)
@@ -204,7 +207,9 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     """Parse word text: tokens are a generator letter with an optional
     ^exponent; uppercase letters abbreviate inverses (`A` = `a^-1`);
     whitespace is optional. Each token becomes one syllable, and the
-    result is freely reduced."""
+    result is freely reduced: text that is reduced already (every
+    formatted word is) is checked and kept, and only other text is
+    refolded."""
     # certificates repeat a handful of tokens ("b^-1 a^2 b^-1 ..."), so
     # each distinct whitespace-separated chunk is scanned once
     scanned: dict[str, list[Syllable]] = {}
@@ -218,7 +223,22 @@ def parse(text: str, alphabet: Alphabet) -> Word:
                 _scan(text, alphabet)  # raises it again, positioned in `text`
                 raise
         syllables += syls
+    if _is_reduced(syllables):
+        return Word._trusted(tuple(syllables))
     return reduce(syllables)
+
+
+_GEN = itemgetter(0)
+_EXP = itemgetter(1)
+
+
+def _is_reduced(syllables: list[Syllable]) -> bool:
+    """No zero exponent and no two neighbours on one generator, tested in
+    passes that run in C rather than a Python loop per syllable."""
+    if not all(map(_EXP, syllables)):
+        return False
+    gens = list(map(_GEN, syllables))
+    return not any(map(eq, gens, gens[1:]))
 
 
 @functools.cache

@@ -40,7 +40,7 @@ from typing import Iterable, NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
 from .search import Evaluator, check_input_span
-from .words import AB, Word, reduce, run_word
+from .words import AB, Word, run_word
 
 
 class NotInDerivedError(ValueError):
@@ -159,16 +159,21 @@ def reversal_image(g: WreathElement) -> WreathElement:
 
 
 def support_word(tail: Iterable[tuple[int, int]]) -> Word:
-    """Canonical word for ascending (index, exponent) pairs: ascending lamp
-    walk with blocks b^-i a^(n_i) b^i and the b-travel between blocks
-    fused; one syllable per block and per travel."""
+    """Canonical word for (index, exponent) pairs in strictly ascending
+    index order with nonzero exponents: ascending lamp walk with blocks
+    b^-i a^(n_i) b^i and the b-travel between blocks fused; one syllable
+    per block and per travel."""
     syllables: list[tuple[str, int]] = []
     pos = 0
     for i, e in tail:
         syllables += [("b", pos - i), ("a", e)]
         pos = i
     syllables.append(("b", pos))
-    return reduce(syllables)
+    # the walk is reduced: the indices ascend strictly and no exponent is
+    # zero, so only a travel from or back to index 0 can be empty
+    start = 0 if syllables[0][1] else 1
+    end = len(syllables) if pos else -1
+    return Word._trusted(tuple(syllables[start:end]))
 
 
 def to_word(g: WreathElement) -> Word:

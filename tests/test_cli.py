@@ -217,10 +217,38 @@ class TestExplore:
         code, _, err = run(capsys, "explore", "--group", "heis", "--radius", "6", "--budget", "5")
         assert code == 3 and "state cap" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "mode", [["--radius", "0"], ["--radius", "2", "--max-len", "2", "--max-factors", "2"]]
+    )
+    def test_budget_below_one_is_usage_error(self, capsys, mode, budget):
+        code, out, err = run(capsys, "explore", "--group", "heis", *mode, "--budget", budget)
+        assert code == 2 and out == ""
+        assert err == "error: budget must be at least 1\n"
+
     def test_deterministic_stdout(self, capsys):
         _, out1, _ = run(capsys, "explore", "--group", "wreath", "--radius", "3")
         _, out2, _ = run(capsys, "explore", "--group", "wreath", "--radius", "3")
         assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--group", "wreath", "ab"],
+        ["witness", "a b A B"],
+        ["verify", "freeword-fuzz", "--cases", "5"],
+        ["explore", "--group", "heis", "--radius", "1"],
+        ["explore", "--group", "heis", "--radius", "1", "--max-len", "2", "--max-factors", "1"],
+    ],
+    ids=["decompose", "witness", "verify", "explore-ball", "explore-histogram"],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, where):
+    out_path = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1
 
 
 class TestRecheck:

@@ -17,7 +17,7 @@ from palwidth.palindromes import (
     pal_power,
 )
 from palwidth import wreath
-from palwidth.words import AB, AT, EMPTY, Word, parse
+from palwidth.words import AB, AT, EMPTY, Alphabet, Word, parse
 
 
 def w(text):
@@ -193,6 +193,15 @@ class TestChecker:
         t = parse("t", AT)
         with pytest.raises(CertificateError):
             check_free(PalindromicDecomposition(t, (t,), AB))
+
+    def test_foreign_letter_messages_name_the_first_one(self):
+        abt = Alphabet(("a", "b", "t"))
+        factor = parse("a t b t a", abt)
+        with pytest.raises(CertificateError, match="^factor letter 't' outside the alphabet$"):
+            check_free(PalindromicDecomposition(factor, (factor,), AB))
+        target = parse("b a t", abt)
+        with pytest.raises(CertificateError, match="^target letter 't' outside the alphabet$"):
+            check_free(PalindromicDecomposition(target, (w("a"),), AB))
 
 
 class TestGroupCertificate:

@@ -82,6 +82,13 @@ def test_census_over_budget_exits_3(args):
     assert "state cap" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_census_budget_below_one_is_usage_error(budget):
+    proc = census("--group", "heis", "--radius", "0", "--budget", budget)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith("error: budget must be at least 1\n")
+
+
 def test_census_builds_one_ball(monkeypatch, capsys):
     # the histogram runs over the census's own table, not a second search
     import importlib.util

@@ -16,6 +16,7 @@ from palwidth.search import (
     enumerate_reduced_words,
     pal_length_bounded,
     pal_length_histogram,
+    pal_length_histogram_of,
     write_ball_csv,
 )
 from palwidth.words import AB, EMPTY, Word, parse, shortlex_key
@@ -250,20 +251,41 @@ class TestHistogram:
     def test_callback_counts_of_the_radius_10_heis_histogram(self):
         # the search does the same group work whatever the element encoding:
         # the ball BFS and the histogram's level builds and joins together
-        calls = {"mul": 0, "inv": 0}
-
-        def counted(kind, fn):
-            def wrapped(*args):
-                calls[kind] += 1
-                return fn(*args)
-
-            return wrapped
-
-        ev = heisenberg.evaluator()
-        ev = dataclasses.replace(ev, mul=counted("mul", ev.mul), inv=counted("inv", ev.inv))
+        ev, calls = counting(heisenberg.evaluator())
         hist = pal_length_histogram(ev, 10, 3, 10)
         assert hist == {"0": 1, "1": 160, "2": 3472, "3": 676, "unknown": 0}
         assert calls["mul"] == 35_700 and calls["inv"] == 161
+
+    # Z wr Z, radius 6, max_len 6: |L1| = 98, so building level 2 takes
+    # 98^2 = 9,604 products and adds at most that many states to the 98
+    WREATH_HIST = {"0": 1, "1": 98, "2": 796, "unknown": 230}
+
+    def test_level_2_is_built_once_the_joins_cost_as_much(self):
+        # once the k = 2 joins have tried 9,604 products, level 2 is built
+        # and the remaining targets are answered by membership in it
+        ev, calls = counting(wreath.evaluator())
+        table = ball_table(wreath.evaluator(), 6)
+        assert pal_length_histogram_of(ev, table, 2, 6) == self.WREATH_HIST
+        assert calls["mul"] == 19_229 and calls["inv"] == 98
+
+    @pytest.mark.parametrize(
+        "cap, mul_calls", [(98 + 9_604 - 1, 35_928), (98 + 9_604, 19_229), (None, 19_229)]
+    )
+    def test_level_2_is_built_early_only_under_the_cap(self, cap, mul_calls):
+        ev, calls = counting(wreath.evaluator())
+        table = ball_table(wreath.evaluator(), 6)
+        assert pal_length_histogram_of(ev, table, 2, 6, cap) == self.WREATH_HIST
+        assert calls["mul"] == mul_calls
+
+    @pytest.mark.parametrize("max_factors", [2, 3])
+    @pytest.mark.parametrize("cap", [97, 98, 7_868, 7_869, 9_701, 9_702, None])
+    def test_early_builds_keep_every_trip_point(self, max_factors, cap):
+        # |L2| = 7,771, so the lazy order trips below 98 + 7,771 = 7,869
+        # states at the first target that needs three factors
+        ev = wreath.evaluator()
+        table = ball_table(ev, 6)
+        expected = outcome(lambda: lazy_histogram(ev, table, max_factors, 6, cap))
+        assert outcome(lambda: pal_length_histogram_of(ev, table, max_factors, 6, cap)) == expected
 
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_requires_a_palindrome_length(self, max_len):
@@ -288,6 +310,43 @@ class TestHistogram:
         with pytest.raises(BudgetExceeded) as exc:
             pal_length_histogram(heisenberg.evaluator(), 2, 3, 4, max_states=20)
         assert exc.value.completed == 0
+
+
+def counting(ev):
+    """`ev` with counted `mul` and `inv` callbacks, and the counts."""
+    calls = {"mul": 0, "inv": 0}
+
+    def counted(kind, fn):
+        def wrapped(*args):
+            calls[kind] += 1
+            return fn(*args)
+
+        return wrapped
+
+    return dataclasses.replace(ev, mul=counted("mul", ev.mul), inv=counted("inv", ev.inv)), calls
+
+
+def outcome(histogram):
+    """A histogram, or ("trip", completed depth) when it exceeds its cap."""
+    try:
+        return histogram()
+    except BudgetExceeded as exc:
+        return ("trip", exc.completed)
+
+
+def lazy_histogram(ev, table, max_factors, max_len, cap):
+    """The histogram in the lazy build order: `find` joins every target
+    and builds only the levels ⌈k/2⌉ a join needs, never one early."""
+    index = _PalProductIndex(ev, max_len, cap)
+    identity = ev.eval(EMPTY)
+    hist = {str(k): 0 for k in range(max_factors + 1)}
+    hist["unknown"] = 0
+    for enc in table.entries:
+        found = (0,) if enc == identity else (
+            k for k in range(1, max_factors + 1) if index.find(enc, k) is not None
+        )
+        hist[str(next(iter(found), "unknown"))] += 1
+    return hist
 
 
 def exact_heis_length(h):

@@ -235,6 +235,79 @@ class TestSyllablesAgainstLetters:
         assert list(parse(text, AB).letters) == ref_reduce(ref_letters(raw))
 
 
+# (generator, exponent) tokens spelled in every accepted way: a bare letter
+# for +-1, an uppercase alias, an explicit + sign; zero exponents included
+@st.composite
+def spelled_tokens(draw):
+    gen = draw(st.sampled_from("ab"))
+    exp = draw(st.integers(-3, 3))
+    spelling = draw(st.sampled_from(["bare", "lower", "plus", "upper"]))
+    if spelling == "bare" and exp in (1, -1):
+        return (gen, exp), gen if exp == 1 else gen.upper()
+    if spelling == "plus" and exp >= 0:
+        return (gen, exp), f"{gen}^+{exp}"
+    if spelling == "upper":
+        return (gen, exp), f"{gen.upper()}^{-exp}"
+    return (gen, exp), f"{gen}^{exp}"
+
+
+@st.composite
+def token_texts(draw):
+    """Word text with irregular whitespace, and the syllables it spells.
+    Neighbours often share a generator, and a suffix may cancel the tail
+    of the drawn tokens."""
+    tokens = draw(st.lists(spelled_tokens(), max_size=10))
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(tokens)))
+        tokens += [((g, -e), f"{g}^{-e}") for (g, e), _ in reversed(tokens[cut:])]
+    gaps = draw(st.lists(st.sampled_from(["", " ", "  ", "\t", "\n ", " \r\n"]),
+                         min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = gaps[0] + "".join(spelled + gap for (_, spelled), gap in zip(tokens, gaps[1:]))
+    return text, [syllable for syllable, _ in tokens]
+
+
+class TestParseKeepsReducedText:
+    """`parse` checks whether the scanned syllables are reduced and folds
+    only those that are not; the result must equal a full fold of them."""
+
+    @given(token_texts())
+    def test_equals_the_fold_of_its_tokens(self, case):
+        text, syllables = case
+        word = parse(text, AB)
+        assert word == reduce(syllables)
+        Word(word.syllables)  # the constructor's own reducedness check
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("a c", 2),
+            ("a^", 1),
+            ("a^x", 1),
+            ("a+b", 1),
+            ("a b^ 2", 3),
+            ("ab^-", 2),
+            ("a b c a^", 4),
+            ("  ^2", 2),
+            ("a^2 A^-x b", 5),
+            ("a\tb\nc", 4),
+            ("aa a^ b c", 4),
+            ("\u00e9", 0),
+            ("a b ^3", 4),
+            ("b^+ a", 1),
+            ("a^2 b^3 a^2 b^3 a^-", 17),
+            ("a b a b t", 8),
+            ("A^--2", 1),
+            ("a^1 1", 4),
+            ("a_b", 1),
+            ("B^2 b^3 A a^ ", 11),
+        ],
+    )
+    def test_error_positions(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text, AB)
+        assert exc.value.position == position
+
+
 class TestLongRuns:
     def test_huge_exponent_is_one_syllable(self):
         w = parse("a^200000000", AT)

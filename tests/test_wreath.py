@@ -15,7 +15,7 @@ from palwidth import search
 from palwidth.heisenberg import from_wreath
 from palwidth.palindromes import check_in_group
 from palwidth.search import BudgetExceeded, enumerate_palindromes
-from palwidth.words import AB, EMPTY, Word, parse, run_word
+from palwidth.words import AB, EMPTY, Word, parse, reduce, run_word
 from palwidth.wreath import (
     NotInDerivedError,
     WreathElement,
@@ -173,6 +173,30 @@ class TestWords:
     def test_single_block(self):
         assert support_word(((1, 1),)) == w("B a b")
         assert support_word(((-1, 2), (3, -1))) == w("b a^2 b^-4 A b^3")
+
+    @staticmethod
+    def raw_walk(tail):
+        syllables, pos = [], 0
+        for i, e in tail:
+            syllables += [("b", pos - i), ("a", e)]
+            pos = i
+        return syllables + [("b", pos)]
+
+    @pytest.mark.parametrize(
+        "tail",
+        [(), ((0, 2),), ((0, -1), (3, 2)), ((-4, 1), (0, 3)), ((-2, 1), (0, -1), (5, 2)), ((2, 1),)],
+    )
+    def test_walk_ends_at_index_0(self, tail):
+        word = support_word(tail)
+        assert word == reduce(self.raw_walk(tail))
+        Word(word.syllables)  # the constructor's own reducedness check
+
+    @given(st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool), max_size=6))
+    def test_equals_the_folded_walk(self, lamps):
+        tail = tuple(sorted(lamps.items()))
+        word = support_word(tail)
+        assert word == reduce(self.raw_walk(tail))
+        Word(word.syllables)
 
 
 class TestDerived:
