@@ -5,7 +5,9 @@ rationals by a: x -> x + 1 and t: x -> x / n, composed left to right along
 the word. An element is therefore a pair (q, dil) acting as
 x -> n^dil * x + q, where q has a power-of-n denominator; the reduced
 two-integer encoding (num, den_exp) with q = num / n^den_exp makes
-equality a tuple comparison.
+equality a tuple comparison. `BSElement` is a tuple-backed record (a
+NamedTuple subclass whose constructor normalises the fraction), so its
+`==` and hash are the tuple's own.
 
 Every element equals t^k a^l t^-m with k, m >= 0, and then
 t^k a^l t^k . t^(-m-k) exhibits it as a product of two palindromes.
@@ -14,8 +16,9 @@ t^k a^l t^k . t^(-m-k) exhibits it as a product of two palindromes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
 from .search import MAX_DIGITS, BudgetExceeded, Evaluator, check_digits, check_input_span
@@ -60,24 +63,39 @@ def _lowest_terms(num: int, den_exp: int, n: int) -> tuple[int, int]:
     return num, den_exp
 
 
-@dataclass(frozen=True)
-class BSElement:
+_tuple_new = tuple.__new__
+
+
+def _normalised(num: int, den_exp: int, dil: int, n: int) -> "BSElement":
+    """The element with translation num / n^den_exp, for den_exp >= 0 and a
+    checked n, with the fraction put in lowest terms."""
+    if num == 0:
+        den_exp = 0
+    elif den_exp and num % n == 0:
+        num, den_exp = _lowest_terms(num, den_exp, n)
+    return _tuple_new(BSElement, (num, den_exp, dil, n))
+
+
+class _BSFields(NamedTuple):
     num: int
     den_exp: int
     dil: int
     n: int
 
-    def __post_init__(self) -> None:
-        _check_parameter(self.n)
-        if self.den_exp < 0:
+
+class BSElement(_BSFields):
+    """x -> n^dil * x + num / n^den_exp, with num / n^den_exp in lowest
+    terms (den_exp 0 for a zero translation). The constructor normalises
+    any non-negative den_exp, so the tuple equality and hash are group
+    equality."""
+
+    __slots__ = ()
+
+    def __new__(cls, num: int, den_exp: int, dil: int, n: int) -> "BSElement":
+        _check_parameter(n)
+        if den_exp < 0:
             raise ValueError("den_exp must be non-negative")
-        num, den_exp = self.num, self.den_exp
-        if num == 0:
-            den_exp = 0
-        elif den_exp and num % self.n == 0:
-            num, den_exp = _lowest_terms(num, den_exp, self.n)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den_exp", den_exp)
+        return _normalised(num, den_exp, dil, n)
 
     @classmethod
     def identity(cls, n: int) -> "BSElement":
@@ -87,25 +105,25 @@ class BSElement:
         return Fraction(self.num, self.n**self.den_exp)
 
     def __mul__(self, other: "BSElement") -> "BSElement":
-        if self.n != other.n:
+        num1, e1, dil1, n = self
+        num2, e2, dil2, n2 = other
+        if n != n2:
             raise ValueError("cannot multiply elements of different BS(1, n) groups")
-        n = self.n
         # q = q1 * n^d2 + q2, over the common power-of-n denominator
-        e1, num1 = self.den_exp - other.dil, self.num
+        e1 -= dil2
         if e1 < 0:
             num1 *= n ** (-e1)
             e1 = 0
-        e2, num2 = other.den_exp, other.num
-        e = max(e1, e2)
-        return BSElement(
-            num1 * n ** (e - e1) + num2 * n ** (e - e2), e, self.dil + other.dil, n
-        )
+        if e1 >= e2:
+            return _normalised(num1 + num2 * n ** (e1 - e2), e1, dil1 + dil2, n)
+        return _normalised(num1 * n ** (e2 - e1) + num2, e2, dil1 + dil2, n)
 
     def inverse(self) -> "BSElement":
-        e = self.den_exp + self.dil
+        num, den_exp, dil, n = self
+        e = den_exp + dil
         if e >= 0:
-            return BSElement(-self.num, e, -self.dil, self.n)
-        return BSElement(-self.num * self.n ** (-e), 0, -self.dil, self.n)
+            return _normalised(-num, e, -dil, n)
+        return _tuple_new(BSElement, (-num * n ** (-e), 0, -dil, n))
 
     def to_json(self) -> dict:
         return {"num": self.num, "den_exp": self.den_exp, "dil": self.dil, "n": self.n}
@@ -211,7 +229,7 @@ def evaluator(n: int) -> Evaluator:
         label=f"bs:{n}",
         alphabet=AT,
         eval=lambda w: evaluate(w, n),
-        mul=lambda g1, g2: g1 * g2,
+        mul=operator.mul,
         inv=BSElement.inverse,
         decode=decode,
         decompose=two_palindrome_decomposition,

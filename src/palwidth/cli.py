@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, baumslag, heisenberg, suites, wreath
@@ -103,6 +104,20 @@ def _open_out(path: str, newline: str | None = None):
     is a usage error, not a verification failure."""
     try:
         return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out file: {exc}") from None
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written before any work, as
+    `_open_out` would after it. An existing file is opened for appending,
+    which leaves its contents alone; a new one is created and removed."""
+    try:
+        if os.path.lexists(path):
+            open(path, "a").close()
+        else:
+            open(path, "x").close()
+            os.remove(path)
     except OSError as exc:
         raise ValueError(f"cannot write --out file: {exc}") from None
 
@@ -240,6 +255,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

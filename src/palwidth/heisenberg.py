@@ -31,6 +31,8 @@ from .search import Evaluator
 from .words import AB, EMPTY, Word, run_word
 from .wreath import WreathElement
 
+_tuple_new = tuple.__new__
+
 
 class HeisElement(NamedTuple):
     """a^x b^y [b,a]^z."""
@@ -44,11 +46,9 @@ class HeisElement(NamedTuple):
         return cls()
 
     def __mul__(self, other: "HeisElement") -> "HeisElement":
-        return HeisElement(
-            self.x + other.x,
-            self.y + other.y,
-            self.z + other.z + other.x * self.y,
-        )
+        x1, y1, z1 = self
+        x2, y2, z2 = other
+        return _tuple_new(HeisElement, (x1 + x2, y1 + y2, z1 + z2 + x2 * y1))
 
     def inverse(self) -> "HeisElement":
         return HeisElement(-self.x, -self.y, self.x * self.y - self.z)

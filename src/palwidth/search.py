@@ -26,6 +26,7 @@ are always non-empty.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -185,13 +186,22 @@ class _PalProductIndex:
             raise BudgetExceeded("palindrome product index exceeded its state cap", depth - 1)
 
     def ensure(self, depth: int) -> None:
+        """Build the levels up to `depth`. The cap is checked as each new
+        state goes in, so a level that will not fit is abandoned as soon as
+        it outgrows the room left, with the same trip as a finished one."""
         while len(self.levels) <= depth:
+            mul = self.ev.mul
+            base = self.base.items()
             d = len(self.levels)
-            prev = self.levels[d - 1]
+            room = math.inf if self.max_states is None else self.max_states - self.states
             level: dict[Any, tuple[Word, Any]] = {}
-            for enc_prev in prev:
-                for enc1 in self.base:
-                    level.setdefault(self.ev.mul(enc_prev, enc1), (self.base[enc1], enc_prev))
+            for enc_prev in self.levels[d - 1]:
+                for enc1, w in base:
+                    enc = mul(enc_prev, enc1)
+                    if enc not in level:
+                        level[enc] = (w, enc_prev)
+                        if len(level) > room:  # trips the cap now
+                            self._count(len(level), d)
             self.levels.append(level)
             self._count(len(level), d)
 

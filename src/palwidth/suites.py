@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import baumslag, heisenberg, palindromes, wreath
+from .search import BudgetExceeded
 from .words import AB, AT, Alphabet, Letter, Word, parse, reduce
 
 
@@ -359,6 +360,11 @@ def available_suites() -> list[str]:
     return sorted(SUITES)
 
 
+# The most cases one suite run draws. A case takes 0.01-0.11 ms on one
+# core (Python 3.11), so a run at the cap ends within seconds.
+MAX_CASES = 100_000
+
+
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(available_suites())}")
@@ -366,6 +372,8 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport
     n = default_cases if cases is None else cases
     if n < 1:
         raise ValueError("cases must be at least 1")
+    if n > MAX_CASES:
+        raise BudgetExceeded(f"cases is {n}, over the cap of {MAX_CASES}")
     rng = random.Random(seed)
     start = time.perf_counter()
     failures = fn(rng, n)

@@ -286,8 +286,27 @@ def _scan(text: str, alphabet: Alphabet) -> list[Syllable]:
     return syllables
 
 
+class _TokenTable(dict):
+    """Syllable -> its text token, formed on a miss. It remembers at most
+    `SIZE` tokens of at most `LONGEST` characters, so neither many distinct
+    syllables nor huge exponents make it grow past a fixed size."""
+
+    SIZE = 4096
+    LONGEST = 24
+
+    def __missing__(self, syllable: Syllable) -> str:
+        gen, exp = syllable
+        token = gen if exp == 1 else f"{gen}^{exp}"
+        if len(self) < self.SIZE and len(token) <= self.LONGEST:
+            self[syllable] = token
+        return token
+
+
+_TOKENS = _TokenTable()
+
+
 def format_word(w: Word) -> str:
     """Canonical text form: one `g^k` token per syllable (`g` alone when
     k is 1), space separated, the empty word rendered as the empty string.
     parse(format(w)) == w."""
-    return " ".join(gen if exp == 1 else f"{gen}^{exp}" for gen, exp in w.syllables)
+    return " ".join(map(_TOKENS.__getitem__, w.syllables))

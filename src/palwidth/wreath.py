@@ -36,6 +36,7 @@ The three constructive procedures:
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
@@ -48,6 +49,8 @@ class NotInDerivedError(ValueError):
 
 
 Tail = tuple[tuple[int, int], ...]
+
+_tuple_new = tuple.__new__
 
 
 def _merge(base: Iterable[tuple[int, int]], pairs: Iterable[tuple[int, int]], k: int = 0) -> Tail:
@@ -84,13 +87,25 @@ class WreathElement(NamedTuple):
         return cls()
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        s = self.shift
-        if not other.tail:  # a pure shift moves no lamp
-            return WreathElement(self.tail, s + other.shift)
-        if not self.tail:  # nothing to merge into: the right tail, moved by -s
-            tail = tuple((i - s, e) for i, e in other.tail) if s else other.tail
-            return WreathElement(tail, s + other.shift)
-        return WreathElement(_merge(self.tail, other.tail, -s), s + other.shift)
+        tail, s = self
+        right, shift = other
+        shift += s
+        if not right:  # a pure shift moves no lamp
+            return _tuple_new(WreathElement, (tail, shift))
+        if not tail:  # nothing to merge into: the right tail, moved by -s
+            tail = tuple([(i - s, e) for i, e in right]) if s else right
+        elif len(right) == 1:  # one lamp, as in every step by a^±1
+            ((i, e),) = right
+            i -= s
+            k = bisect_left(tail, (i,))  # (i,) sorts before every (i, e)
+            if k < len(tail) and tail[k][0] == i:
+                e += tail[k][1]
+                tail = tail[:k] + (((i, e),) if e else ()) + tail[k + 1 :]
+            else:
+                tail = tail[:k] + ((i, e),) + tail[k:]
+        else:
+            tail = _merge(tail, right, -s)
+        return _tuple_new(WreathElement, (tail, shift))
 
     def inverse(self) -> "WreathElement":
         s = self.shift
@@ -125,8 +140,10 @@ class WreathElement(NamedTuple):
 
     def __str__(self) -> str:
         # json.dumps(self.to_json(), sort_keys=True) without the encoder: the
-        # support keys sort as strings, so "-1" < "-2" < "0" < "10" < "2"
-        lamps = ", ".join(f'"{k}": {e}' for k, e in sorted((str(i), e) for i, e in self.tail))
+        # support keys sort as strings, so "-1" < "-10" < "-2" < "0" < "10" <
+        # "2". Sorting the entries '"k": e' gives that order, because the
+        # closing quote sorts before every digit and the keys are distinct.
+        lamps = ", ".join(sorted([f'"{i}": {e}' for i, e in self.tail]))
         return f'{{"shift": {self.shift}, "support": {{{lamps}}}}}'
 
 

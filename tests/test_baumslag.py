@@ -258,6 +258,44 @@ def test_str_is_the_sorted_json_literal(num, den_exp, dil, n):
     assert str(g) == json.dumps(g.to_json(), sort_keys=True)
 
 
+@st.composite
+def equal_or_near_pairs(draw):
+    """Two BS(1, n) elements given as raw fields: the second is the first
+    with its fraction scaled by n^k, and perhaps one field moved."""
+    n = draw(st.sampled_from((2, 3, -2, 5)))
+    num = draw(st.integers(-60, 60))
+    den_exp, dil = draw(st.integers(0, 4)), draw(st.integers(-3, 3))
+    k = draw(st.integers(0, 3))
+    other = [num * n**k, den_exp + k, dil, n]
+    moved = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if moved == 3:
+        other[3] = -n
+    elif moved is not None:
+        other[moved] += 1
+    return (num, den_exp, dil, n), tuple(other)
+
+
+@given(equal_or_near_pairs())
+def test_tuple_equality_is_equality_of_affine_maps(pair):
+    g, h = BSElement(*pair[0]), BSElement(*pair[1])
+    same = (g.translation(), g.dil, g.n) == (h.translation(), h.dil, h.n)
+    assert (g == h) is same and (g != h) is not same
+    if same:
+        assert hash(g) == hash(h)
+
+
+@pytest.mark.parametrize("n", NS)
+@given(u=words(AT, 10), v=words(AT, 10))
+@settings(max_examples=30)
+def test_products_and_inverses_are_normalised(n, u, v):
+    # `__mul__` and `inverse` skip the checked constructor; their results
+    # must equal the record that the constructor builds from the same fields
+    g, h = evaluate(u, n), evaluate(v, n)
+    for got in (g * h, g.inverse(), h * g.inverse()):
+        fresh = BSElement(got.num, got.den_exp, got.dil, got.n)
+        assert type(got) is BSElement and tuple(got) == tuple(fresh)
+
+
 def test_json_round_trip():
     g = evaluate(w("t a^5 t^-2"), 3)
     assert BSElement.from_json(g.to_json()) == g

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from palwidth import search
+from palwidth import cli, search, suites
 from palwidth.cli import lookup_group, main, recheck_certificate
 from palwidth.palindromes import check_in_group
 from palwidth.words import AB, AT, parse
@@ -161,6 +161,23 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: cases must be at least 1\n"
 
+    def test_case_cap(self, monkeypatch, capsys):
+        # an oversized count exits with the budget code before a case is
+        # drawn; the count in the command-line examples is allowed
+        drawn = []
+        monkeypatch.setitem(
+            suites.SUITES, "freeword-fuzz", (lambda rng, cases: drawn.append(cases) or [], 2000)
+        )
+        cap = suites.MAX_CASES
+        assert cap >= 100_000
+        for cases in (cap + 1, 10_000_000_000):
+            code, out, err = run(capsys, "verify", "freeword-fuzz", "--cases", str(cases))
+            assert code == 3 and out == ""
+            assert err == f"error: cases is {cases}, over the cap of {cap}\n"
+        assert drawn == []
+        code, out, _ = run(capsys, "verify", "freeword-fuzz", "--cases", str(cap))
+        assert code == 0 and json.loads(out)["cases"] == cap and drawn == [cap]
+
 
 class TestExplore:
     def test_radius_zero_csv(self, capsys, tmp_path):
@@ -233,22 +250,45 @@ class TestExplore:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, module, name",
     [
-        ["decompose", "--group", "wreath", "ab"],
-        ["witness", "a b A B"],
-        ["verify", "freeword-fuzz", "--cases", "5"],
-        ["explore", "--group", "heis", "--radius", "1"],
-        ["explore", "--group", "heis", "--radius", "1", "--max-len", "2", "--max-factors", "1"],
+        (["decompose", "--group", "wreath", '{"support": {"-20100": 2}, "shift": -4}'],
+         wreath, "three_palindrome_decomposition"),
+        (["decompose", "--group", "bs:3", "t a"], baumslag, "two_palindrome_decomposition"),
+        (["witness", "a b A B"], wreath, "commutator_witness"),
+        (["verify", "freeword-fuzz", "--cases", "5"], suites, "run_suite"),
+        (["explore", "--group", "heis", "--radius", "1"], cli, "ball_table"),
+        (["explore", "--group", "heis", "--radius", "1", "--max-len", "2", "--max-factors", "1"],
+         cli, "pal_length_histogram"),
     ],
-    ids=["decompose", "witness", "verify", "explore-ball", "explore-histogram"],
+    ids=["decompose", "decompose-bs", "witness", "verify", "explore-ball", "explore-histogram"],
 )
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
-def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, where):
+def test_unwritable_out_is_usage_error(monkeypatch, capsys, tmp_path, argv, module, name, where):
+    # the path is refused before the work, which is never started
+    def never(*args, **kwargs):
+        raise AssertionError(f"{name} ran before --out was checked")
+
+    monkeypatch.setattr(module, name, never)
     out_path = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
     code, out, err = run(capsys, *argv, "--out", str(out_path))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1
+
+
+def test_out_file_is_untouched_when_the_work_fails(capsys, tmp_path):
+    # the early check neither truncates an existing file nor leaves a new one
+    existing, fresh = tmp_path / "kept.csv", tmp_path / "new.csv"
+    existing.write_text("earlier result\n")
+    for path in (existing, fresh):
+        code, out, _ = run(
+            capsys, "explore", "--group", "heis", "--radius", "8", "--budget", "5", "--out", str(path)
+        )
+        assert code == 3 and out == ""
+    assert existing.read_text() == "earlier result\n"
+    assert not fresh.exists()
+    code, _, _ = run(capsys, "explore", "--group", "heis", "--radius", "0", "--out", str(existing))
+    assert code == 0 and existing.read_text().startswith("normal_form,min_length,witness")
 
 
 class TestRecheck:
@@ -407,6 +447,20 @@ class TestInputCap:
         assert seconds < 5
         assert proc.stdout == ""
         assert "more than 100000 decimal digits, over the digit cap" in proc.stderr
+
+    def test_over_budget_level_exits_with_the_budget_code(self):
+        # level 2 of the radius-6, max_len 12 index would take several GiB;
+        # the build stops once it outgrows the 300,000-state cap
+        proc, seconds = run_capped(
+            "explore", "--group", "wreath", "--radius", "6", "--max-len", "12",
+            "--max-factors", "3", "--budget", "300000",
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert seconds < 5
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: palindrome product index exceeded its state cap (completed depth 1)\n"
+        )
 
     def test_huge_group_parameter_zero_translation_certifies(self):
         # the normal form t^0 a^0 t^-90000 needs no power of n

@@ -305,6 +305,24 @@ class TestHistogram:
             pal_length_histogram(ev, 4, 3, 4, max_states=200)
         assert exc.value.completed == 1
 
+    @pytest.mark.parametrize("room, mul_calls", [(0, 1), (100, 103), (7_770, 9_604)])
+    def test_a_level_over_the_cap_stops_as_it_outgrows_the_room(self, room, mul_calls):
+        # Z wr Z, max_len 6: level 2 has 7,771 states from 9,604 products,
+        # the last of them new. With room for fewer, its build stops at the
+        # first state past the room, with the trip of a finished build,
+        # instead of holding the whole level first.
+        ev, calls = counting(wreath.evaluator())
+        index = _PalProductIndex(ev, 6, 98 + room)
+        with pytest.raises(BudgetExceeded) as exc:
+            index.ensure(2)
+        assert str(exc.value) == (
+            "palindrome product index exceeded its state cap (completed depth 1)"
+        )
+        assert exc.value.completed == 1 and calls["mul"] == mul_calls
+        index = _PalProductIndex(ev, 6, 98 + 7_771)
+        index.ensure(2)
+        assert len(index.levels[2]) == 7_771 and index.states == 98 + 7_771
+
     def test_budget_below_the_first_level(self):
         # the radius-2 ball (17 elements) fits under the cap, level 1 does not
         with pytest.raises(BudgetExceeded) as exc:

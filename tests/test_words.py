@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from strategies import letters, raw_seqs, words
 
+from palwidth import words as words_module
 from palwidth.words import (
     AB,
     AT,
@@ -326,6 +327,43 @@ class TestLongRuns:
         # callers pick .syllables or .letters; signs are never guessed
         with pytest.raises(TypeError):
             iter(parse("a^3 b", AB))
+
+
+def joined_tokens(w):
+    """The token-per-syllable form, joined from a fresh token each time."""
+    return " ".join(gen if exp == 1 else f"{gen}^{exp}" for gen, exp in w.syllables)
+
+
+huge_syllables = st.lists(
+    st.tuples(st.sampled_from("abt"), st.integers(-(10**40), 10**40) | st.integers(-3, 3)),
+    max_size=10,
+)
+
+
+class TestTokenTable:
+    @given(huge_syllables)
+    def test_format_word_is_the_joined_tokens(self, raw):
+        w = reduce(raw)
+        assert format_word(w) == joined_tokens(w)
+        assert format_word(w) == joined_tokens(w)  # tokens now from the table
+
+    def test_huge_exponents_are_not_kept(self, monkeypatch):
+        table = words_module._TokenTable()
+        monkeypatch.setattr(words_module, "_TOKENS", table)
+        w = Word((("a", 10**4000), ("b", -1), ("a", 1), ("b", -(10**30))))
+        assert format_word(w) == joined_tokens(w)
+        assert set(table) == {("b", -1), ("a", 1)}
+
+    def test_a_full_table_still_formats(self, monkeypatch):
+        table = words_module._TokenTable()
+        monkeypatch.setattr(words_module, "_TOKENS", table)
+        size = table.SIZE
+        ws = [Word((("a", k), ("b", -k))) for k in range(2, size)]
+        assert [format_word(w) for w in ws] == [joined_tokens(w) for w in ws]
+        assert len(table) == size  # full: the later tokens are formed each time
+        later = Word((("t", 7), ("a", -(size + 5))))
+        assert format_word(later) == joined_tokens(later) == f"t^7 a^-{size + 5}"
+        assert len(table) == size and ("t", 7) not in table
 
 
 def test_run_word():

@@ -122,6 +122,28 @@ class TestTail:
         assert WreathElement.of(raw).tail == tuple(sorted((i, e) for i, e in sums.items() if e))
 
 
+    @given(elements, st.integers(-6, 6), st.integers(-3, 3).filter(bool), st.integers(-3, 3))
+    def test_one_lamp_product_is_the_merged_pairs(self, g, index, exponent, shift):
+        # a one-lamp right factor (every a^±1 step of the ball) goes in place
+        lamp = WreathElement(((index, exponent),), shift)
+        cases = [(lamp, [(index - g.shift, exponent)], shift)]
+        # and a lamp that it cancels to zero leaves the tail
+        cases += [(WreathElement(((i + g.shift, -e),), shift), [(i, -e)], shift) for i, e in g.tail]
+        for right, pairs, s in cases:
+            got = g * right
+            expected = WreathElement.of(list(g.tail) + pairs, g.shift + s)
+            assert type(got) is WreathElement and is_canonical(got.tail)
+            assert got == expected and hash(got) == hash(expected)
+
+    def test_one_lamp_product_examples(self):
+        g = elem({-2: 1, 0: 3, 4: -1}, 1)
+        assert g * elem({1: -3}) == elem({-2: 1, 4: -1}, 1)  # cancels index 0
+        assert g * elem({2: 5}, -1) == elem({-2: 1, 0: 3, 1: 5, 4: -1})  # inserted
+        assert g * elem({-2: 2}) == elem({-3: 2, -2: 1, 0: 3, 4: -1}, 1)  # at the front
+        assert g * elem({6: 2}) == elem({-2: 1, 0: 3, 4: -1, 5: 2}, 1)  # at the end
+        assert g * elem({5: 1}) == elem({-2: 1, 0: 3}, 1)  # cancels the last lamp
+
+
 class TestEvaluate:
     def test_generators(self):
         assert evaluate(w("a")) == elem({0: 1})
@@ -421,6 +443,11 @@ class TestJson:
         g = elem({-1: 1, -2: 2, 0: 3, 10: 4, 2: 5}, -7)
         assert str(g) == (
             '{"shift": -7, "support": {"-1": 1, "-2": 2, "0": 3, "10": 4, "2": 5}}'
+        )
+        # a key sorts before every longer key it begins
+        g = elem({10: -3, 2: 5, 1: 7, -10: 11, -1: 13}, 0)
+        assert str(g) == json.dumps(g.to_json(), sort_keys=True) == (
+            '{"shift": 0, "support": {"-1": 13, "-10": 11, "1": 7, "10": -3, "2": 5}}'
         )
         assert str(WreathElement.identity()) == '{"shift": 0, "support": {}}'
 
