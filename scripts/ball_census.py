@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from palwidth.cli import lookup_group
-from palwidth.search import BudgetExceeded, ball_table, pal_length_histogram_of
+from palwidth.search import DEFAULT_BUDGET, BudgetExceeded, ball_table, pal_length_histogram_of
 
 
 def census(ev, args) -> None:
@@ -46,7 +46,7 @@ def main():
     parser.add_argument("--radius", type=int, default=5)
     parser.add_argument("--max-len", type=int, default=None)
     parser.add_argument("--max-factors", type=int, default=None)
-    parser.add_argument("--budget", type=int, default=2_000_000)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
     try:
         census(lookup_group(args.group), args)

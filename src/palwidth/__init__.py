@@ -14,11 +14,8 @@ from .palindromes import (
     SelfCheckError,
     check_free,
     check_in_group,
-    combine_coset_decomposition,
     commutator_decomposition,
     conjugate_decomposition,
-    pal_pair_power,
-    pal_power,
 )
 from .search import (
     BallTable,
@@ -52,14 +49,11 @@ __all__ = [
     "ball_table",
     "check_free",
     "check_in_group",
-    "combine_coset_decomposition",
     "commutator_decomposition",
     "conjugate_decomposition",
     "enumerate_palindromes",
     "enumerate_reduced_words",
     "pal_length_bounded",
-    "pal_pair_power",
-    "pal_power",
     "parse",
     "reduce",
 ]

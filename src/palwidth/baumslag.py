@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
 from .search import MAX_DIGITS, BudgetExceeded, Evaluator, check_digits, check_input_span
 from .words import AT, Word, run_word
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _check_parameter(n: int) -> None:
@@ -102,6 +104,9 @@ class BSElement(_BSFields):
         return cls(0, 0, 0, n)
 
     def translation(self) -> Fraction:
+        """num / n^den_exp as an exact rational."""
+        from fractions import Fraction  # no certificate path needs fractions
+
         return Fraction(self.num, self.n**self.den_exp)
 
     def __mul__(self, other: "BSElement") -> "BSElement":

@@ -13,9 +13,10 @@ import json
 import os
 import sys
 
-from . import __version__, baumslag, heisenberg, suites, wreath
+from . import __version__, baumslag, heisenberg, wreath
 from .palindromes import CertificateError, PalindromicDecomposition, SelfCheckError
 from .search import (
+    DEFAULT_BUDGET,
     MAX_DIGITS,
     BudgetExceeded,
     Evaluator,
@@ -40,9 +41,12 @@ def lookup_group(label: str) -> Evaluator:
         return heisenberg.evaluator()
     if label.startswith("bs:"):
         try:
-            n = int(label.split(":", 1)[1])
+            n = int(label[3:])
         except ValueError:
-            raise ValueError(f"bad group parameter in {label!r} (expected bs:N)") from None
+            n = None
+        # only the canonical decimal N, so that each group has one label
+        if n is None or f"bs:{n}" != label:
+            raise ValueError(f"bad group parameter in {label!r} (expected bs:N)")
         return baumslag.evaluator(n)
     raise ValueError(f"unknown group {label!r} (expected wreath, heis or bs:N)")
 
@@ -159,6 +163,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suites  # only verify runs the suites, so other calls skip their import
+
     try:
         report = suites.run_suite(args.suite, seed=args.seed, cases=args.cases)
     except KeyError as exc:
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", help="run a named randomized property suite")
-    p.add_argument("suite", help=f"one of: {', '.join(suites.available_suites())}")
+    p.add_argument("suite", help="suite name; an unknown name prints the known ones")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=None)
     p.add_argument("--out", help="also write the report JSON to a file")
@@ -241,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--max-len", type=int, default=None, dest="max_len")
     p.add_argument("--max-factors", type=int, default=None, dest="max_factors")
-    p.add_argument("--budget", type=int, default=2_000_000, help="state cap for searches")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="state cap for searches")
     p.add_argument("--out", help="write CSV/JSON to a file instead of stdout")
     p.set_defaults(func=cmd_explore)
     return parser

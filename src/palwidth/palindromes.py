@@ -1,23 +1,21 @@
 """Palindromic factorization certificates in the free group.
 
-The generic word-level constructions: powers of palindromes, conjugates
-and commutators of palindrome products, and coset-style concatenation of
-certificates. Every constructor returns a PalindromicDecomposition that
-has already passed `check_free`; the checker only uses word primitives
-(reversal, reduction, concatenation), so it stays independent of the
-construction code it validates.
+The generic word-level constructions: conjugates and commutators of
+palindrome products. Every constructor returns a PalindromicDecomposition
+that has already passed `check_free`; the checker only uses word
+primitives (reversal, reduction, concatenation), so it stays independent
+of the construction code it validates.
 
 Factor-count bookkeeping: conjugating a product of k palindromes costs
-k + (k mod 2) factors, a commutator against such a product costs
-2k + (k mod 2), and a power of a two-palindrome product costs 2. Factors
-that reduce to the empty word are dropped, so the counts are upper bounds.
+k + (k mod 2) factors, and a commutator against such a product costs
+2k + (k mod 2). Factors that reduce to the empty word are dropped, so the
+counts are upper bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .words import Alphabet, Word
 
@@ -34,8 +32,7 @@ class SelfCheckError(RuntimeError):
     """A construction failed its own re-verification; this is a bug."""
 
 
-@dataclass(frozen=True)
-class PalindromicDecomposition:
+class PalindromicDecomposition(NamedTuple):
     """An ordered factorization of `target` into palindromic words.
 
     For the free-group constructions in this module the factor product
@@ -142,15 +139,6 @@ def _star(u: Word) -> Word:
     return u.inverse().reverse()
 
 
-def pal_power(p: Word, m: int) -> Word:
-    """reduce(p^m) for a palindrome p; the result is again a palindrome."""
-    _require_palindrome(p)
-    q = p**m
-    if not q.is_palindrome():  # reduction preserves symmetry; cannot happen
-        raise SelfCheckError(f"power of palindrome {str(p)!r} lost symmetry")
-    return q
-
-
 def conjugate_decomposition(
     u: Word, pals: Sequence[Word], alphabet: Alphabet
 ) -> PalindromicDecomposition:
@@ -197,31 +185,3 @@ def commutator_decomposition(
     )
     target = u.inverse() * product.inverse() * u * product
     return _free_certificate(target, conjugated.factors + pals, alphabet)
-
-
-def pal_pair_power(p: Word, q: Word, m: int, alphabet: Alphabet) -> PalindromicDecomposition:
-    """Two-factor certificate for (pq)^m: the symmetric string (pq)^{m-1} p
-    followed by q. Negative powers run the construction on the inverse pair."""
-    _require_palindrome(p)
-    _require_palindrome(q)
-    if m < 0:
-        p, q, m = q.inverse(), p.inverse(), -m
-    target = (p * q) ** m
-    if m == 0:
-        factors: tuple[Word, ...] = ()
-    else:
-        factors = ((p * q) ** (m - 1) * p, q)
-    return _free_certificate(target, factors, alphabet)
-
-
-def combine_coset_decomposition(
-    left: PalindromicDecomposition, right: PalindromicDecomposition
-) -> PalindromicDecomposition:
-    """Concatenate two valid certificates; factor counts add."""
-    if left.context != right.context:
-        raise CertificateError("certificates use different alphabets")
-    check_free(left)
-    check_free(right)
-    return _free_certificate(
-        left.target * right.target, left.factors + right.factors, left.context
-    )

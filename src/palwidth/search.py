@@ -25,10 +25,9 @@ are always non-empty.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .palindromes import PalindromicDecomposition
 from .words import EMPTY, Alphabet, Word, reduce
@@ -66,6 +65,12 @@ def check_input_span(span: int, what: str) -> None:
 # the command line raises the interpreter's integer-string limit (4,300
 # digits by default) to this bound.
 MAX_DIGITS = MAX_INPUT_SPAN
+
+
+# The default state cap of the command-line searches. A Z wr Z product
+# level holds about 0.55 MB per 1,000 states, so a search that trips this
+# cap stays inside a 1 GiB address space.
+DEFAULT_BUDGET = 1_500_000
 
 
 def check_budget(max_states: int | None) -> None:
@@ -142,8 +147,7 @@ def enumerate_palindromes(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
                     yield u * c * u.reverse()
 
 
-@dataclass(frozen=True)
-class PalSearchResult:
+class PalSearchResult(NamedTuple):
     """Outcome of `pal_length_bounded`: k and verified witness factors, or
     unknown (k is None) within the stated bounds."""
 
@@ -312,13 +316,15 @@ def pal_length_bounded(
     return PalSearchResult(None, None, max_factors, max_len)
 
 
-@dataclass
 class BallTable:
     """Exact minimal word lengths within a radius, with shortlex-first
     witness words keyed by canonical encoding."""
 
-    radius: int
-    entries: dict[Any, tuple[int, Word]] = field(default_factory=dict)
+    __slots__ = ("radius", "entries")
+
+    def __init__(self, radius: int, entries: dict[Any, tuple[int, Word]]) -> None:
+        self.radius = radius
+        self.entries = entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -368,6 +374,8 @@ def write_ball_csv(table: BallTable, ev: Evaluator, out) -> None:
     """CSV with columns normal_form, min_length, witness, in deterministic
     (length, shortlex witness) order, which is the order `ball_table`
     inserts its entries in; `ev` is not needed for that."""
+    import csv  # only this writer needs it, so other calls skip its import
+
     writer = csv.writer(out)
     writer.writerow(["normal_form", "min_length", "witness"])
     for enc, (length, witness) in table.entries.items():

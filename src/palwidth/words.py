@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import eq, itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Letter = tuple[str, int]  # (generator name, +1 or -1)
 Syllable = tuple[str, int]  # (generator name, nonzero exponent)
@@ -41,28 +41,34 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _AlphabetFields(NamedTuple):
+    names: tuple[str, ...]
+
+
+class Alphabet(_AlphabetFields):
     """Ordered declaration of generator names, e.g. ("a", "b") or ("a", "t").
 
     The declaration order fixes the letter order a < a^-1 < b < b^-1 < ...
-    used for shortlex tie-breaking, so witnesses are reproducible.
+    used for shortlex tie-breaking, so witnesses are reproducible. A
+    tuple-backed record whose constructor validates the names.
     """
 
-    names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.names:
+    def __new__(cls, names: tuple[str, ...]) -> "Alphabet":
+        if not names:
             raise ValueError("alphabet must declare at least one generator")
-        for name in self.names:
+        for name in names:
             if len(name) != 1 or not name.isascii() or not name.islower():
                 raise ValueError(
                     f"generator names must be single lowercase ascii letters, got {name!r}"
                 )
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate generator name")
+        return tuple.__new__(cls, (names,))
 
     def index(self, name: str) -> int:
+        """The position of generator `name` in the declaration."""
         try:
             return self.names.index(name)
         except ValueError:
@@ -75,10 +81,6 @@ class Alphabet:
             out.append((name, 1))
             out.append((name, -1))
         return tuple(out)
-
-    def letter_key(self, letter: Letter) -> int:
-        gen, sign = letter
-        return 2 * self.index(gen) + (0 if sign > 0 else 1)
 
 
 AB = Alphabet(("a", "b"))
@@ -160,13 +162,6 @@ class Word:
             j += 1
         return Word._trusted(left[:i] + right[j:])
 
-    def __pow__(self, m: int) -> "Word":
-        base = self if m >= 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(m)):
-            out = out * base
-        return out
-
     def inverse(self) -> "Word":
         """Group inverse: reversed order, all signs flipped."""
         return Word._trusted(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -197,10 +192,6 @@ def reduce(syllables: Iterable[Syllable]) -> Word:
 def run_word(gen: str, exponent: int) -> Word:
     """The word gen^exponent (empty when exponent is 0)."""
     return Word(((gen, exponent),)) if exponent else EMPTY
-
-
-def shortlex_key(w: Word, alphabet: Alphabet):
-    return (len(w), tuple(alphabet.letter_key(l) for l in w.letters))
 
 
 def parse(text: str, alphabet: Alphabet) -> Word:

@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 
-from palwidth.words import AB, Alphabet, reduce
+from palwidth.words import AB, Alphabet, Word, reduce
 
 
 def letters(alphabet: Alphabet = AB):
@@ -29,3 +29,10 @@ def palindromes(draw, alphabet: Alphabet = AB, max_half: int = 5):
     if ls and center == (ls[-1][0], -ls[-1][1]):
         center = ls[-1]
     return reduce(ls + (center,) + ls[::-1])
+
+
+def shortlex_key(w: Word, alphabet: Alphabet):
+    """Sort key of shortlex order: length first, then letters in the
+    declared order a < a^-1 < b < b^-1 < ..."""
+    rank = {letter: i for i, letter in enumerate(alphabet.letters())}
+    return (len(w), tuple(rank[letter] for letter in w.letters))

