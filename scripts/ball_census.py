@@ -21,7 +21,7 @@ def census(ev, args) -> None:
     # one breadth-first search gives every radius: the ball of radius r
     # holds the entries of length <= r
     table = ball_table(ev, args.radius, max_states=args.budget)
-    per_length = Counter(length for length, _ in table.entries.values())
+    per_length = Counter(length for length, _ in table.values())
     print(f"# ball growth, group={args.group}")
     print("radius,elements")
     elements = 0

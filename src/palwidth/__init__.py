@@ -18,7 +18,6 @@ from .palindromes import (
     conjugate_decomposition,
 )
 from .search import (
-    BallTable,
     BudgetExceeded,
     Evaluator,
     PalSearchResult,
@@ -34,7 +33,6 @@ __all__ = [
     "AT",
     "EMPTY",
     "Alphabet",
-    "BallTable",
     "BudgetExceeded",
     "CertificateError",
     "Evaluator",

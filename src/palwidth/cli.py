@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__, baumslag, heisenberg, wreath
-from .palindromes import CertificateError, PalindromicDecomposition, SelfCheckError
+from .palindromes import CertificateError, PalindromicDecomposition, SelfCheckError, check_in_group
 from .search import (
     DEFAULT_BUDGET,
     MAX_DIGITS,
@@ -24,7 +24,7 @@ from .search import (
     pal_length_histogram,
     write_ball_csv,
 )
-from .words import ParseError, Word, parse
+from .words import ParseError, parse
 from .wreath import NotInDerivedError
 
 EXIT_OK = 0
@@ -86,20 +86,12 @@ def recheck_certificate(doc: dict) -> bool:
     group = lookup_group(doc["group"])
     target = parse(doc["target"]["word"], group.alphabet)
     factors = tuple(parse(text, group.alphabet) for text in doc["factors"])
-    if any(not f or not f.is_palindrome() for f in factors):
-        return False
-    product = Word()
-    for f in factors:
-        product = product * f
-    value = group.eval(target)
-    if group.eval(product) != value:
-        return False
+    dec = PalindromicDecomposition(target, factors, group.alphabet)
     element = doc["target"].get("element")
-    if element is None:
-        return True
     try:
-        return group.decode(element) == value
-    except ValueError:  # the stored literal is not an element of this group
+        value = check_in_group(dec, group.eval)
+        return element is None or group.decode(element) == value
+    except ValueError:  # a CertificateError, or a literal that is not of this group
         return False
 
 

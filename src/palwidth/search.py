@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
-from .palindromes import PalindromicDecomposition
+from .palindromes import PalindromicDecomposition, SelfCheckError
 from .words import EMPTY, Alphabet, Word, reduce
 
 
@@ -153,8 +153,6 @@ class PalSearchResult(NamedTuple):
 
     k: int | None
     factors: tuple[Word, ...] | None
-    max_factors: int
-    max_len: int
 
     @property
     def found(self) -> bool:
@@ -302,7 +300,7 @@ def pal_length_bounded(
     unknown otherwise. Absence is not a proof."""
     _check_bounds(max_factors, max_len)
     if target == ev.eval(EMPTY):
-        return PalSearchResult(0, (), max_factors, max_len)
+        return PalSearchResult(0, ())
     index = _PalProductIndex(ev, max_len, max_states)
     for k in range(1, max_factors + 1):
         factors = index.find(target, k)
@@ -311,28 +309,18 @@ def pal_length_bounded(
             for w in factors:
                 product = product * w
             if ev.eval(product) != target:
-                raise AssertionError("search witness failed re-verification")
-            return PalSearchResult(k, factors, max_factors, max_len)
-    return PalSearchResult(None, None, max_factors, max_len)
+                raise SelfCheckError("search witness failed re-verification")
+            return PalSearchResult(k, factors)
+    return PalSearchResult(None, None)
 
 
-class BallTable:
+def ball_table(
+    ev: Evaluator, radius: int, max_states: int | None = None
+) -> dict[Any, tuple[int, Word]]:
     """Exact minimal word lengths within a radius, with shortlex-first
-    witness words keyed by canonical encoding."""
+    witness words: a dict from canonical encoding to (length, witness).
 
-    __slots__ = ("radius", "entries")
-
-    def __init__(self, radius: int, entries: dict[Any, tuple[int, Word]]) -> None:
-        self.radius = radius
-        self.entries = entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def ball_table(ev: Evaluator, radius: int, max_states: int | None = None) -> BallTable:
-    """Breadth-first closure of generator multiplication from the identity.
-
+    A breadth-first closure of generator multiplication from the identity.
     Each depth extends the previous frontier, in shortlex order, by every
     letter in letter order, so an element is first reached by its
     shortlex-first word of minimal length, and the entries come out in
@@ -367,10 +355,10 @@ def ball_table(ev: Evaluator, radius: int, max_states: int | None = None) -> Bal
                     if max_states is not None and len(entries) > max_states:
                         raise BudgetExceeded("ball table exceeded its state cap", depth - 1)
         frontier = new
-    return BallTable(radius, entries)
+    return entries
 
 
-def write_ball_csv(table: BallTable, ev: Evaluator, out) -> None:
+def write_ball_csv(table: dict[Any, tuple[int, Word]], ev: Evaluator, out) -> None:
     """CSV with columns normal_form, min_length, witness, in deterministic
     (length, shortlex witness) order, which is the order `ball_table`
     inserts its entries in; `ev` is not needed for that."""
@@ -378,7 +366,7 @@ def write_ball_csv(table: BallTable, ev: Evaluator, out) -> None:
 
     writer = csv.writer(out)
     writer.writerow(["normal_form", "min_length", "witness"])
-    for enc, (length, witness) in table.entries.items():
+    for enc, (length, witness) in table.items():
         writer.writerow([str(enc), length, str(witness)])
 
 
@@ -399,7 +387,7 @@ def pal_length_histogram(
 
 def pal_length_histogram_of(
     ev: Evaluator,
-    table: BallTable,
+    table: dict[Any, tuple[int, Word]],
     max_factors: int,
     max_len: int,
     max_states: int | None = None,
@@ -410,7 +398,7 @@ def pal_length_histogram_of(
     identity = ev.eval(EMPTY)
     hist: dict[str, int] = {str(k): 0 for k in range(max_factors + 1)}
     hist["unknown"] = 0
-    for enc in table.entries:
+    for enc in table:
         if enc == identity:
             hist["0"] += 1
             continue

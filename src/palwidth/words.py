@@ -67,13 +67,6 @@ class Alphabet(_AlphabetFields):
             raise ValueError("duplicate generator name")
         return tuple.__new__(cls, (names,))
 
-    def index(self, name: str) -> int:
-        """The position of generator `name` in the declaration."""
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown generator {name!r}") from None
-
     def letters(self) -> tuple[Letter, ...]:
         """All signed letters in shortlex letter order."""
         out: list[Letter] = []

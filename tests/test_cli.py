@@ -337,6 +337,14 @@ class TestRecheck:
         with pytest.raises(ValueError, match="bad group parameter"):
             recheck_certificate(doc)
 
+    def test_recheck_rejects_nonempty_target_without_factors(self):
+        doc = {
+            "group": "wreath",
+            "target": {"word": "A b A B a b a B", "element": {"support": {}, "shift": 0}},
+            "factors": [],
+        }
+        assert not recheck_certificate(doc)
+
     def test_verified_flag_not_trusted(self, capsys):
         _, out, _ = run(capsys, "decompose", "--group", "wreath", "ab")
         doc = json.loads(out)

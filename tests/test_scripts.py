@@ -48,6 +48,20 @@ def test_census_rejects_an_empty_search(bound):
     assert f"{bound[2:].replace('-', '_')} must be at least 1" in proc.stderr
 
 
+@pytest.mark.parametrize("cases, code", [("0", 2), ("-1", 2), ("100001", 3)])
+def test_report_refuses_bad_case_counts(cases, code):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "width_report.py"), "--cases", cases],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    expected = "cases must be at least 1" if code == 2 else "over the cap of 100000"
+    assert expected in proc.stderr
+
+
 def census(*args):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / "ball_census.py"), *args],

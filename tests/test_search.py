@@ -7,6 +7,7 @@ from strategies import shortlex_key
 
 from palwidth import baumslag, heisenberg, wreath
 from palwidth.heisenberg import HeisElement
+from palwidth.palindromes import SelfCheckError
 from palwidth.search import (
     MAX_DIGITS,
     BudgetExceeded,
@@ -96,7 +97,7 @@ class TestBallTable:
     def test_radius_zero(self):
         table = ball_table(heisenberg.evaluator(), 0)
         assert len(table) == 1
-        assert table.entries[HeisElement.identity()] == (0, EMPTY)
+        assert table[HeisElement.identity()] == (0, EMPTY)
 
     def test_wreath_radius_one(self):
         table = ball_table(wreath.evaluator(), 1)
@@ -104,38 +105,38 @@ class TestBallTable:
 
     def test_heis_commutator_appears_at_four(self):
         ev = heisenberg.evaluator()
-        assert HeisElement(0, 0, 1) not in ball_table(ev, 2).entries
+        assert HeisElement(0, 0, 1) not in ball_table(ev, 2)
         table = ball_table(ev, 4)
-        length, witness = table.entries[HeisElement(0, 0, 1)]
+        length, witness = table[HeisElement(0, 0, 1)]
         assert length == 4
         assert heisenberg.evaluate(witness) == HeisElement(0, 0, 1)
 
     def test_lengths_match_witnesses(self):
         table = ball_table(wreath.evaluator(), 4)
-        for enc, (length, witness) in table.entries.items():
+        for enc, (length, witness) in table.items():
             assert len(witness) == length
             assert wreath.evaluate(witness) == enc
 
     def test_against_brute_force_oracle(self):
         # oracle: minimal length and shortlex-first witness over all reduced words
         ev = heisenberg.evaluator()
-        assert ball_table(ev, 3).entries == brute_ball(ev, 3)
+        assert ball_table(ev, 3) == brute_ball(ev, 3)
 
     @pytest.mark.parametrize("ev", GROUPS, ids=lambda ev: ev.label)
     def test_against_brute_force_oracle_all_groups(self, ev):
         # oracle: minimal length and shortlex-first witness over all reduced words
         table = ball_table(ev, 5)
-        assert table.entries == brute_ball(ev, 5)
+        assert table == brute_ball(ev, 5)
         # the BFS inserts in (length, shortlex witness) order, which the
         # multiplication BFS relies on to keep shortlex-first witnesses
-        order = [(n, shortlex_key(word, ev.alphabet)) for n, word in table.entries.values()]
+        order = [(n, shortlex_key(word, ev.alphabet)) for n, word in table.values()]
         assert order == sorted(order)
 
     def test_determinism(self):
         ev = baumslag.evaluator(2)
         t1 = ball_table(ev, 4)
         t2 = ball_table(ev, 4)
-        assert t1.entries == t2.entries
+        assert t1 == t2
         buf1, buf2 = io.StringIO(), io.StringIO()
         write_ball_csv(t1, ev, buf1)
         write_ball_csv(t2, ev, buf2)
@@ -210,7 +211,7 @@ class TestPalLengthBounded:
     def test_minimal_k_matches_brute_force_products(self):
         for ev in (heisenberg.evaluator(), baumslag.evaluator(2)):
             least = brute_pal_lengths(ev, 3, 4)
-            for enc in ball_table(ev, 3).entries:
+            for enc in ball_table(ev, 3):
                 assert pal_length_bounded(ev, enc, 3, 4).k == least.get(enc), (ev.label, enc)
 
     def test_requires_positive_factors(self):
@@ -225,6 +226,14 @@ class TestPalLengthBounded:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             pal_length_bounded(heisenberg.evaluator(), HeisElement(9, 9, 9), 3, 8, max_states=50)
+
+    def test_witness_failing_reverification_is_a_self_check_error(self):
+        # the evaluator is right on the one-letter palindromes the search
+        # multiplies, and wrong on the two-letter product it re-verifies
+        ev = wreath.evaluator()
+        liar = dataclasses.replace(ev, eval=lambda u: ev.eval(u if len(u) <= 1 else EMPTY))
+        with pytest.raises(SelfCheckError, match="failed re-verification"):
+            pal_length_bounded(liar, wreath.evaluate(w("ab")), 2, 1)
 
 
 class TestHistogram:
@@ -360,7 +369,7 @@ def lazy_histogram(ev, table, max_factors, max_len, cap):
     identity = ev.eval(EMPTY)
     hist = {str(k): 0 for k in range(max_factors + 1)}
     hist["unknown"] = 0
-    for enc in table.entries:
+    for enc in table:
         found = (0,) if enc == identity else (
             k for k in range(1, max_factors + 1) if index.find(enc, k) is not None
         )
@@ -387,7 +396,7 @@ class TestExactOracle:
     def test_heis_engine_is_never_below_the_exact_length(self, radius):
         ev = heisenberg.evaluator()
         index = _PalProductIndex(ev, radius, None)
-        for h in ball_table(ev, radius).entries:
+        for h in ball_table(ev, radius):
             exact = exact_heis_length(h)
             if exact == 0:
                 continue
@@ -399,7 +408,7 @@ class TestExactOracle:
     def test_wreath_engine_single_palindromes_are_decided_images(self):
         ev = wreath.evaluator()
         index = _PalProductIndex(ev, 8, None)
-        for g in ball_table(ev, 8).entries:
+        for g in ball_table(ev, 8):
             witness = wreath.palindrome_witness(g)
             if g == wreath.WreathElement.identity():
                 assert witness == EMPTY

@@ -384,6 +384,3 @@ def test_alphabet_validation():
         Alphabet(("ab",))
     with pytest.raises(ValueError):
         Alphabet(("a", "a"))
-    assert AB.index("b") == 1
-    with pytest.raises(ValueError):
-        AB.index("t")

@@ -263,7 +263,7 @@ class TestThreePalindromes:
     def test_single_factor_exactly_on_palindrome_images(self):
         # a symmetric tail makes the canonical word a palindrome, so the
         # certificate of every palindrome image is that one word
-        for g in search.ball_table(evaluator(), 6).entries:
+        for g in search.ball_table(evaluator(), 6):
             dec = three_palindrome_decomposition(g)
             assert (dec.length <= 1) == (palindrome_witness(g) is not None), g
 
@@ -367,13 +367,13 @@ class TestClassify:
         table = search.ball_table(evaluator(), 8)
         assert len(table) == 7537
         accepted = 0
-        for g in table.entries:
+        for g in table:
             if g in images:
                 self.accepts(g)
                 accepted += 1
             else:
                 assert palindrome_witness(g) is None, g
-        assert accepted == len(images & table.entries.keys())
+        assert accepted == len(images & table.keys())
 
     def test_literal_shape_false_positives_are_rejected(self):
         assert len(LITERAL_SHAPE_FALSE_POSITIVES) == 76
