@@ -51,17 +51,28 @@ def _power(n: int, x: int) -> int:
 
 def _lowest_terms(num: int, den_exp: int, n: int) -> tuple[int, int]:
     """num / n^den_exp in lowest terms, for den_exp > 0 and n dividing num."""
-    # re-evaluating a normal form t^k a^l t^-m strips all m factors of n
-    # from a long l, where one n at a time would take time quadratic in its
-    # length; a short num strips faster one n at a time than by a power
-    bits = abs(num).bit_length()
-    if bits > 64 and den_exp * (abs(n).bit_length() - 1) < bits:
-        q, r = divmod(num, n**den_exp)
-        if not r:
-            return q, 0
-    while den_exp and num % n == 0:
-        num //= n
-        den_exp -= 1
+    if abs(num).bit_length() <= 64:  # a short num strips fastest one n at a time
+        while den_exp and num % n == 0:
+            num //= n
+            den_exp -= 1
+        return num, den_exp
+    # one n at a time would take time quadratic in a long num's length:
+    # strip min(den_exp, v_n(num)) factors in O(log) divisions instead, by
+    # n^(2^i) for i = 0, 1, ... while it divides, then back down the powers
+    powers = []
+    power, e = n, 1
+    while e <= den_exp:
+        q, r = divmod(num, power)
+        if r:
+            break
+        num, den_exp = q, den_exp - e
+        powers.append((power, e))
+        power, e = power * power, 2 * e
+    for power, e in reversed(powers):
+        if e <= den_exp:
+            q, r = divmod(num, power)
+            if not r:
+                num, den_exp = q, den_exp - e
     return num, den_exp
 
 

@@ -10,12 +10,12 @@ uses.
 
 `mul` drives both searches. The ball BFS multiplies each frontier
 element by the generator images instead of re-evaluating whole words.
-The length search builds levels of d-fold palindrome products lazily;
-the histogram tests membership in a level once it is built and only
-otherwise runs a meet-in-the-middle hash join, against each level's
-inverses computed once. It builds a level early once the joins into it
-have tried as many products as the build takes, when that fits under the
-state cap.
+The length search builds levels of d-fold palindrome products lazily.
+One query serves the bounded search and the histogram: it tests
+membership in level k once that is built, and otherwise runs a
+meet-in-the-middle hash join against the right level's inverses,
+computed once. It builds a level early once the joins into it have tried
+as many products as the build takes, when that fits under the state cap.
 
 All tie-breaking is shortlex in the fixed letter order a < a^-1 < b < ...,
 so identical inputs produce identical outputs, witnesses included.
@@ -179,7 +179,7 @@ class _PalProductIndex:
             {enc: (w, None) for enc, w in base.items()},
         ]
         self._inverses: dict[int, list[tuple[Any, Any]]] = {}
-        self._joined: dict[int, int] = {}  # products tried by joins into a level
+        self._joined = 0  # products tried by joins into level len(levels)
         self._count(len(base), 1)
 
     def _count(self, added: int, depth: int) -> None:
@@ -205,13 +205,18 @@ class _PalProductIndex:
                         if len(level) > room:  # trips the cap now
                             self._count(len(level), d)
             self.levels.append(level)
+            self._joined = 0
             self._count(len(level), d)
 
-    def factors(self, depth: int, enc: Any) -> tuple[Word, ...]:
+    def factors(self, k: int, split: tuple[Any, Any]) -> tuple[Word, ...]:
+        """The k palindromes of the product that `split(target, k)` found."""
+        enc_l, enc_r = split
+        right = 0 if enc_r is None else k // 2
         out: list[Word] = []
-        for d in range(depth, 0, -1):
-            w, enc = self.levels[d][enc]
-            out.append(w)
+        for depth, enc in ((right, enc_r), (k - right, enc_l)):
+            for d in range(depth, 0, -1):
+                w, enc = self.levels[d][enc]
+                out.append(w)
         return tuple(reversed(out))
 
     def inverses(self, depth: int) -> list[tuple[Any, Any]]:
@@ -222,63 +227,40 @@ class _PalProductIndex:
             pairs = self._inverses[depth] = [(enc, inv(enc)) for enc in self.levels[depth]]
         return pairs
 
-    def find(self, target: Any, k: int) -> tuple[Word, ...] | None:
-        """First split of `target` into a product of exactly k palindromes."""
-        left = (k + 1) // 2
-        self.ensure(left)
-        if k == left:
-            if target in self.levels[left]:
-                return self.factors(left, target)
-            return None
-        split, _ = self._meet(target, k)
-        if split is None:
-            return None
-        return self.factors(left, split[0]) + self.factors(k - left, split[1])
-
-    def _meet(self, target: Any, k: int) -> tuple[tuple[Any, Any] | None, int]:
-        """The first split of `target` as (level ⌈k/2⌉ encoding, level ⌊k/2⌋
-        encoding), or None, by a hash join over the smaller level; with the
-        number of products the join tried."""
-        left = (k + 1) // 2
-        right = k - left
-        lhs, rhs = self.levels[left], self.levels[right]
-        mul = self.ev.mul
-        tried = 0
-        if len(rhs) <= len(lhs):
-            for enc_r, inv_r in self.inverses(right):
-                tried += 1
-                need = mul(target, inv_r)
-                if need in lhs:
-                    return (need, enc_r), tried
-        else:
-            for enc_l, inv_l in self.inverses(left):
-                tried += 1
-                need = mul(inv_l, target)
-                if need in rhs:
-                    return (enc_l, need), tried
-        return None, tried
-
-    def reaches(self, target: Any, k: int) -> bool:
-        """Whether `target` is a product of exactly k palindromes. Builds the
-        same levels as `find`, and a built level answers by membership.
+    def split(self, target: Any, k: int) -> tuple[Any, Any] | None:
+        """The first split of `target` into a product of exactly k
+        palindromes, for `factors`, or None. A built level k answers by
+        membership, as (target, None). Otherwise level ⌈k/2⌉ is built and
+        a hash join over the inverses of level ⌊k/2⌋, never the larger
+        one, gives (level ⌈k/2⌉ encoding, level ⌊k/2⌋ encoding).
 
         Level k itself is built early, when level k - 1 is built and the
         joins into level k have tried as many products as building it takes,
         |L_(k-1)| * |L_1|, but only when that many new states still fit
         under the cap: such a build never raises, so the cap trips on the
-        same inputs, at the same depth, as without it."""
-        self.ensure((k + 1) // 2)
+        same inputs, at the same depth, as without it. One target tries at
+        most |L_⌊k/2⌋| < |L_(k-1)| * |L_1| products, so a single query
+        (`pal_length_bounded`) never builds a level early."""
+        left = (k + 1) // 2
+        self.ensure(left)
         if k < len(self.levels):
-            return target in self.levels[k]
-        split, tried = self._meet(target, k)
+            return (target, None) if target in self.levels[k] else None
+        lhs, mul = self.levels[left], self.ev.mul
+        pairs = self.inverses(k - left)
+        tried, found = len(pairs), None
+        for i, (enc_r, inv_r) in enumerate(pairs, 1):
+            need = mul(target, inv_r)
+            if need in lhs:
+                tried, found = i, (need, enc_r)
+                break
         if k == len(self.levels):
-            self._joined[k] = joined = self._joined.get(k, 0) + tried
+            self._joined += tried
             build = len(self.levels[k - 1]) * len(self.base)
-            if joined >= build and (
+            if self._joined >= build and (
                 self.max_states is None or self.states + build <= self.max_states
             ):
                 self.ensure(k)
-        return split is not None
+        return found
 
 
 def _check_bounds(max_factors: int, max_len: int) -> None:
@@ -303,8 +285,9 @@ def pal_length_bounded(
         return PalSearchResult(0, ())
     index = _PalProductIndex(ev, max_len, max_states)
     for k in range(1, max_factors + 1):
-        factors = index.find(target, k)
-        if factors is not None:
+        split = index.split(target, k)
+        if split is not None:
+            factors = index.factors(k, split)
             product = Word()
             for w in factors:
                 product = product * w
@@ -403,7 +386,7 @@ def pal_length_histogram_of(
             hist["0"] += 1
             continue
         for k in range(1, max_factors + 1):
-            if index.reaches(enc, k):
+            if index.split(enc, k) is not None:
                 hist[str(k)] += 1
                 break
         else:

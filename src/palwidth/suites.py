@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import functools
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import baumslag, heisenberg, palindromes, wreath
 from .search import BudgetExceeded
@@ -165,24 +163,16 @@ def random_heis(rng: random.Random, magnitude: int) -> heisenberg.HeisElement:
 # --- suites ---------------------------------------------------------------
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
+    # no timing field: identical invocations must be byte-identical
     suite: str
     seed: int
     cases: int
     passed: bool
-    failures: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    failures: list[str]
 
     def to_json(self) -> dict:
-        # no timing field: identical invocations must be byte-identical
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "cases": self.cases,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
+        return self._asdict()
 
 
 def _suite_freeword_fuzz(rng: random.Random, cases: int) -> list[str]:
@@ -374,15 +364,5 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport
         raise ValueError("cases must be at least 1")
     if n > MAX_CASES:
         raise BudgetExceeded(f"cases is {n}, over the cap of {MAX_CASES}")
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    failures = fn(rng, n)
-    elapsed = time.perf_counter() - start
-    return SuiteReport(
-        suite=name,
-        seed=seed,
-        cases=n,
-        passed=not failures,
-        failures=failures[:10],
-        seconds=elapsed,
-    )
+    failures = fn(random.Random(seed), n)
+    return SuiteReport(name, seed, n, not failures, failures[:10])

@@ -114,10 +114,12 @@ class TestEvaluateAgainstGeneratorFold:
 @given(
     n=st.sampled_from([2, 3, -2, 5, -7, 10]),
     unit=st.integers(1, 10**6),
-    power=st.integers(0, 80),
-    den_exp=st.integers(1, 90),
+    power=st.integers(0, 400),
+    den_exp=st.integers(1, 1000),
 )
 def test_lowest_terms_strips_as_one_by_one(n, unit, power, den_exp):
+    # short and long nums, valuations in the hundreds, and den_exp both
+    # below and above the valuation and num's bit length
     num, e = unit * n**power, den_exp
     while e and num % n == 0:
         num //= n

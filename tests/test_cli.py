@@ -461,6 +461,9 @@ class TestInputCap:
             ["witness", '{"support": {"0": 1, "100000000": -1}, "shift": 0}'],
             ["decompose", "--group", "bs:3", "t^-100000000 a t^100000000"],
             ["decompose", "--group", "bs:3", '{"num": 1, "den_exp": 0, "dil": -100000000, "n": 3}'],
+            # reducing 10^99990 / 10^(10^9) strips 99,990 factors of 10 first
+            ["decompose", "--group", "bs:10",
+             '{"num": 1' + "0" * 99_990 + ', "den_exp": 1000000000, "dil": 0, "n": 10}'],
         ],
     )
     def test_oversized_work_exits_with_the_budget_code(self, argv):
@@ -476,6 +479,9 @@ class TestInputCap:
             ("bs:3", "t^-9100 a t^9100", 4342),
             # stripping 99,990 factors of 10 from a^(10^99991) at the recheck
             ("bs:10", "t^-99990 a^10", 99992),
+            # 40 characters at the span cap: each product leaves a long num
+            # whose factors of n are stripped in O(log) divisions
+            ("bs:1000", "a^3 t^-33000 a^3 t^33000 a^-3 t^-34000", 99001),
         ],
     )
     def test_long_exponents_print_and_recheck(self, group, text, digits):

@@ -214,6 +214,25 @@ class TestPalLengthBounded:
             for enc in ball_table(ev, 3):
                 assert pal_length_bounded(ev, enc, 3, 4).k == least.get(enc), (ev.label, enc)
 
+    @pytest.mark.parametrize(
+        "ev, target, max_len, factors",
+        [
+            (heisenberg.evaluator(), HeisElement(0, 0, 1), 10, ["b^-2", "b a^-1 b", "a"]),
+            (wreath.evaluator(), "a b", 4, ["a b a", "a^-1"]),
+            (wreath.evaluator(), "a b a^-1 b^-1", 4, ["b^2", "b^-1 a^-1 b^-1", "a"]),
+            (baumslag.evaluator(2), "a t", 2, ["a", "t"]),
+            (baumslag.evaluator(2), "a t a", 2, ["a", "t", "a"]),
+        ],
+        ids=["heis-centre", "wreath-k2", "wreath-k3", "bs2-k2", "bs2-k3"],
+    )
+    def test_pinned_witnesses(self, ev, target, max_len, factors):
+        # the first split in the join order is the witness, so the order of
+        # the levels and of the join is part of the output
+        if isinstance(target, str):
+            target = ev.eval(parse(target, ev.alphabet))
+        res = pal_length_bounded(ev, target, 3, max_len)
+        assert [str(f) for f in res.factors] == factors
+
     def test_requires_positive_factors(self):
         with pytest.raises(ValueError):
             pal_length_bounded(heisenberg.evaluator(), HeisElement(0, 0, 1), 0, 4)
@@ -287,6 +306,16 @@ class TestHistogram:
         assert pal_length_histogram_of(ev, table, 2, 6, cap) == self.WREATH_HIST
         assert calls["mul"] == mul_calls
 
+    def test_joins_into_a_new_level_count_from_zero(self):
+        # heis, max_len 2: |L1| = 8. The k = 2 joins build level 2 early;
+        # the k = 3 joins then start their own count towards |L2| * 8, and
+        # carrying the k = 2 joins over would build level 3 sooner
+        ev, calls = counting(heisenberg.evaluator())
+        table = ball_table(heisenberg.evaluator(), 6)
+        hist = pal_length_histogram_of(ev, table, 3, 2)
+        assert hist == {"0": 1, "1": 8, "2": 40, "3": 188, "unknown": 356}
+        assert calls["mul"] == 889 and calls["inv"] == 8
+
     @pytest.mark.parametrize("max_factors", [2, 3])
     @pytest.mark.parametrize("cap", [97, 98, 7_868, 7_869, 9_701, 9_702, None])
     def test_early_builds_keep_every_trip_point(self, max_factors, cap):
@@ -340,6 +369,21 @@ class TestHistogram:
         assert exc.value.completed == 0
 
 
+@pytest.mark.parametrize("max_len", [4, 5, 6])
+@pytest.mark.parametrize(
+    "ev",
+    [wreath.evaluator(), heisenberg.evaluator()] + [baumslag.evaluator(n) for n in (2, 3, -2)],
+    ids=lambda ev: ev.label,
+)
+def test_levels_never_shrink(ev, max_len):
+    # right multiplication by one palindrome is injective, so level d + 1
+    # has at least |L_d| states: the join's right level is never the larger
+    index = _PalProductIndex(ev, max_len, None)
+    index.ensure(3 if max_len == 4 else 2)
+    sizes = [len(level) for level in index.levels[1:]]
+    assert sizes == sorted(sizes), sizes
+
+
 def counting(ev):
     """`ev` with counted `mul` and `inv` callbacks, and the counts."""
     calls = {"mul": 0, "inv": 0}
@@ -363,15 +407,27 @@ def outcome(histogram):
 
 
 def lazy_histogram(ev, table, max_factors, max_len, cap):
-    """The histogram in the lazy build order: `find` joins every target
-    and builds only the levels ⌈k/2⌉ a join needs, never one early."""
+    """The histogram in the lazy build order: it builds only the levels
+    ⌈k/2⌉ a join needs, never one early, answers k = 1 by membership and
+    joins every target at k >= 2 against level ⌊k/2⌋."""
     index = _PalProductIndex(ev, max_len, cap)
     identity = ev.eval(EMPTY)
+    inverses = {}
+
+    def reaches(g, k):
+        left = (k + 1) // 2
+        index.ensure(left)
+        if k == left:
+            return g in index.levels[k]
+        if k - left not in inverses:
+            inverses[k - left] = [ev.inv(h) for h in index.levels[k - left]]
+        return any(ev.mul(g, h) in index.levels[left] for h in inverses[k - left])
+
     hist = {str(k): 0 for k in range(max_factors + 1)}
     hist["unknown"] = 0
     for enc in table:
         found = (0,) if enc == identity else (
-            k for k in range(1, max_factors + 1) if index.find(enc, k) is not None
+            k for k in range(1, max_factors + 1) if reaches(enc, k)
         )
         hist[str(next(iter(found), "unknown"))] += 1
     return hist
@@ -400,7 +456,7 @@ class TestExactOracle:
             exact = exact_heis_length(h)
             if exact == 0:
                 continue
-            k = next((k for k in (1, 2, 3) if index.reaches(h, k)), None)
+            k = next((k for k in (1, 2, 3) if index.split(h, k) is not None), None)
             assert k is None or k >= exact, h
             if exact == 1 and len(heisenberg.palindrome_word_for(h.x, h.y)) <= radius:
                 assert k == 1, h
@@ -412,7 +468,7 @@ class TestExactOracle:
             witness = wreath.palindrome_witness(g)
             if g == wreath.WreathElement.identity():
                 assert witness == EMPTY
-            elif index.reaches(g, 1):
+            elif index.split(g, 1) is not None:
                 assert witness is not None, g
             elif witness is not None:
                 assert len(witness) > 8, g
