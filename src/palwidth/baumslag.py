@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
 from .search import MAX_DIGITS, BudgetExceeded, Evaluator, check_digits, check_input_span
 from .words import AT, Word, run_word
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def _check_parameter(n: int) -> None:
@@ -51,11 +48,6 @@ def _power(n: int, x: int) -> int:
 
 def _lowest_terms(num: int, den_exp: int, n: int) -> tuple[int, int]:
     """num / n^den_exp in lowest terms, for den_exp > 0 and n dividing num."""
-    if abs(num).bit_length() <= 64:  # a short num strips fastest one n at a time
-        while den_exp and num % n == 0:
-            num //= n
-            den_exp -= 1
-        return num, den_exp
     # one n at a time would take time quadratic in a long num's length:
     # strip min(den_exp, v_n(num)) factors in O(log) divisions instead, by
     # n^(2^i) for i = 0, 1, ... while it divides, then back down the powers
@@ -113,12 +105,6 @@ class BSElement(_BSFields):
     @classmethod
     def identity(cls, n: int) -> "BSElement":
         return cls(0, 0, 0, n)
-
-    def translation(self) -> Fraction:
-        """num / n^den_exp as an exact rational."""
-        from fractions import Fraction  # no certificate path needs fractions
-
-        return Fraction(self.num, self.n**self.den_exp)
 
     def __mul__(self, other: "BSElement") -> "BSElement":
         num1, e1, dil1, n = self

@@ -1,9 +1,10 @@
 """Command-line frontend: decompose / witness / verify / explore.
 
 A thin dispatcher over the library; it performs no mathematics itself.
-Exit codes: 0 success/verified, 1 verification failure, 2 usage or parse
-error, 3 resource budget exceeded. All randomness flows from --seed
-through random.Random (Mersenne Twister), so reports are reproducible.
+Exit codes: 0 success/verified, 1 verification failure or a stdout closed
+early, 2 usage or parse error, 3 resource budget exceeded. All randomness
+flows from --seed through random.Random (Mersenne Twister), so reports are
+reproducible.
 """
 
 from __future__ import annotations
@@ -240,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=None, dest="max_len")
     p.add_argument("--max-factors", type=int, default=None, dest="max_factors")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="state cap for searches")
-    p.add_argument("--out", help="write CSV/JSON to a file instead of stdout")
+    p.add_argument(
+        "--out",
+        help="write the ball CSV to a file instead of stdout; a histogram's JSON "
+        "is written to the file and also printed",
+    )
     p.set_defaults(func=cmd_explore)
     return parser
 
@@ -255,7 +260,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None):
             _check_out(args.out)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (`palwidth ... | head`): point it at devnull
+        # so that the interpreter's last flush does not fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_VERIFY
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError
-from .words import EMPTY, Alphabet, Word, reduce
+from .words import EMPTY, Alphabet, Letter, Word, follow_ups, reduce
 
 
 class BudgetExceeded(RuntimeError):
@@ -103,48 +103,33 @@ class Evaluator:
 
 def enumerate_reduced_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """Freely reduced words of exactly `length`, in lexicographic order."""
-    letters = alphabet.letters()
+    follow = follow_ups(alphabet)
 
-    def extend(prefix: list) -> Iterator[Word]:
+    def extend(prefix: list, choices: tuple[Letter, ...]) -> Iterator[Word]:
         if len(prefix) == length:
             yield reduce(prefix)
             return
-        last = prefix[-1] if prefix else None
-        for c in letters:
-            if last is not None and c[0] == last[0] and c[1] == -last[1]:
-                continue
+        for c in choices:
             prefix.append(c)
-            yield from extend(prefix)
+            yield from extend(prefix, follow[c])
             prefix.pop()
 
-    yield from extend([])
+    yield from extend([], alphabet.letters())
 
 
 def enumerate_palindromes(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """All reduced palindromic words of length <= max_len, each exactly
     once, in shortlex order.
 
-    A reduced palindrome of even length is half + reversed half for an
-    arbitrary reduced half (the junction doubles a letter, which never
-    cancels); odd length additionally takes a center letter that must not
-    cancel against the half's last letter.
+    The first ⌈n/2⌉ letters of a reduced palindrome of length n form an
+    arbitrary reduced word, and mirroring them gives the rest: the junction
+    repeats a letter, which never cancels. So the palindromes of length n
+    are the reduced words of length ⌈n/2⌉, mirrored, in the same order.
     """
-    centers = [Word((c,)) for c in alphabet.letters()]
     for n in range(max_len + 1):
-        half = n // 2
-        if n % 2 == 0:
-            for u in enumerate_reduced_words(alphabet, half):
-                yield u * u.reverse()
-        elif n == 1:
-            yield from centers
-        else:
-            for u in enumerate_reduced_words(alphabet, half):
-                last_gen, last_exp = u.syllables[-1]
-                for c in centers:
-                    gen, sign = c.syllables[0]
-                    if gen == last_gen and (sign > 0) != (last_exp > 0):
-                        continue
-                    yield u * c * u.reverse()
+        for half in enumerate_reduced_words(alphabet, (n + 1) // 2):
+            letters = half.letters
+            yield reduce(letters + letters[: n // 2][::-1])
 
 
 class PalSearchResult(NamedTuple):
@@ -168,19 +153,15 @@ class _PalProductIndex:
         self.ev = ev
         self.max_states = max_states
         self.states = 0
-        base: dict[Any, Word] = {}
+        # levels[d] maps encoding -> (last palindrome, previous encoding)
+        level1: dict[Any, tuple[Word, Any]] = {}
         for w in enumerate_palindromes(ev.alphabet, max_len):
             if w:
-                base.setdefault(ev.eval(w), w)
-        # levels[d] maps encoding -> (last palindrome, previous encoding)
-        self.base = base
-        self.levels: list[dict[Any, tuple[Word, Any]]] = [
-            {},
-            {enc: (w, None) for enc, w in base.items()},
-        ]
+                level1.setdefault(ev.eval(w), (w, None))
+        self.levels: list[dict[Any, tuple[Word, Any]]] = [{}, level1]
         self._inverses: dict[int, list[tuple[Any, Any]]] = {}
         self._joined = 0  # products tried by joins into level len(levels)
-        self._count(len(base), 1)
+        self._count(len(level1), 1)
 
     def _count(self, added: int, depth: int) -> None:
         self.states += added
@@ -193,12 +174,12 @@ class _PalProductIndex:
         it outgrows the room left, with the same trip as a finished one."""
         while len(self.levels) <= depth:
             mul = self.ev.mul
-            base = self.base.items()
+            base = self.levels[1].items()
             d = len(self.levels)
             room = math.inf if self.max_states is None else self.max_states - self.states
             level: dict[Any, tuple[Word, Any]] = {}
             for enc_prev in self.levels[d - 1]:
-                for enc1, w in base:
+                for enc1, (w, _) in base:
                     enc = mul(enc_prev, enc1)
                     if enc not in level:
                         level[enc] = (w, enc_prev)
@@ -255,7 +236,7 @@ class _PalProductIndex:
                 break
         if k == len(self.levels):
             self._joined += tried
-            build = len(self.levels[k - 1]) * len(self.base)
+            build = len(self.levels[k - 1]) * len(self.levels[1])
             if self._joined >= build and (
                 self.max_states is None or self.states + build <= self.max_states
             ):

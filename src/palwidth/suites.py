@@ -14,13 +14,12 @@ re-derive the Heisenberg law and stop being an independent check of it.
 
 from __future__ import annotations
 
-import functools
 import random
 from typing import Callable, NamedTuple
 
 from . import baumslag, heisenberg, palindromes, wreath
 from .search import BudgetExceeded
-from .words import AB, AT, Alphabet, Letter, Word, parse, reduce
+from .words import AB, AT, Alphabet, Letter, Word, follow_ups, parse, reduce
 
 
 # --- the unitriangular matrix oracle -----------------------------------
@@ -86,18 +85,10 @@ def mat_eval(w: Word) -> Matrix:
 # --- seeded generators ---------------------------------------------------
 
 
-@functools.cache
-def _follow_ups(alphabet: Alphabet) -> dict[Letter, tuple[Letter, ...]]:
-    """The letters that may follow each letter in a reduced word, in
-    letter order."""
-    letters = alphabet.letters()
-    return {c: tuple(x for x in letters if x != (c[0], -c[1])) for c in letters}
-
-
 def random_reduced_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
     # rng.choice draws one index below the length of the sequence, so the
     # precomputed follow-ups make the same draws as filtering each step
-    follow = _follow_ups(alphabet)
+    follow = follow_ups(alphabet)
     out: list[Letter] = []
     choices = alphabet.letters()
     for _ in range(length):
@@ -116,7 +107,7 @@ def random_palindrome(rng: random.Random, alphabet: Alphabet, max_len: int) -> W
     letters = half.letters
     if rng.random() < 0.5 and 2 * len(letters) < max_len:
         center = rng.choice(alphabet.letters())
-        if letters and center == (letters[-1][0], -letters[-1][1]):
+        if letters and center not in follow_ups(alphabet)[letters[-1]]:
             center = letters[-1]
         return reduce(letters + (center,) + letters[::-1])
     return reduce(letters + letters[::-1])

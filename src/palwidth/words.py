@@ -80,6 +80,14 @@ AB = Alphabet(("a", "b"))
 AT = Alphabet(("a", "t"))
 
 
+@functools.cache
+def follow_ups(alphabet: Alphabet) -> dict[Letter, tuple[Letter, ...]]:
+    """The letters that may follow each letter in a reduced word, in
+    letter order."""
+    letters = alphabet.letters()
+    return {c: tuple(x for x in letters if x != (c[0], -c[1])) for c in letters}
+
+
 def _fold(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
     """Freely reduce a sequence of (gen, exp) pairs, letters included:
     merge neighbours that share a generator, drop zero exponents, and let

@@ -251,6 +251,22 @@ class TestExplore:
         _, out2, _ = run(capsys, "explore", "--group", "wreath", "--radius", "3")
         assert out1 == out2
 
+    def test_histogram_out_file_is_also_printed(self, capsys, tmp_path):
+        path = tmp_path / "hist.json"
+        code, out, _ = run(
+            capsys, "explore", "--group", "heis", "--max-len", "4", "--max-factors", "2",
+            "--radius", "3", "--out", str(path),
+        )
+        assert code == 0
+        assert out.encode("utf-8") == path.read_bytes()
+
+    def test_ball_out_file_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "ball.csv"
+        code, out, err = run(capsys, "explore", "--group", "heis", "--radius", "2", "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text().startswith("normal_form,min_length,witness")
+        assert json.loads(err)["elements"] == len(path.read_text().splitlines()) - 1
+
 
 @pytest.mark.parametrize(
     "argv, module, name",
@@ -435,6 +451,22 @@ def test_calls_import_only_what_they_run(argv, needed):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, needed]
+
+
+def test_stdout_closed_early_exits_1_without_a_traceback():
+    # the reader takes one line and goes away, as `| head -n 1` does; the
+    # ball CSV (~220 kB) outgrows a default pipe buffer, so a write fails
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "palwidth", "explore", "--group", "wreath", "--radius", "7"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"normal_form,min_length,witness\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestInputCap:

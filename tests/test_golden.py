@@ -48,6 +48,11 @@ CASES = {
         ["explore", "--group", "heis", "--max-len", "4", "--max-factors", "3", "--radius", "3"],
         0,
     ),
+    # the heaviest enumeration and early level build of the goldens (~1 s)
+    "explore_wreath_histogram": (
+        ["explore", "--group", "wreath", "--max-len", "8", "--max-factors", "2"],
+        0,
+    ),
 }
 
 

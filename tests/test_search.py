@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import itertools
@@ -21,7 +22,7 @@ from palwidth.search import (
     pal_length_histogram_of,
     write_ball_csv,
 )
-from palwidth.words import AB, EMPTY, Word, parse
+from palwidth.words import AB, AT, EMPTY, Word, parse, reduce
 
 
 def w(text):
@@ -73,12 +74,31 @@ class TestEnumeration:
 
     def test_against_brute_force_oracle(self):
         # oracle: filter all reduced words by the palindrome predicate
-        brute = []
-        for n in range(7):
-            for word in enumerate_reduced_words(AB, n):
-                if word.is_palindrome():
-                    brute.append(word)
-        assert list(enumerate_palindromes(AB, 6)) == brute
+        for alphabet in (AB, AT):
+            brute = []
+            for n in range(10):
+                for word in enumerate_reduced_words(alphabet, n):
+                    if word.is_palindrome():
+                        brute.append(word)
+            assert list(enumerate_palindromes(alphabet, 9)) == brute
+
+    def test_count_of_each_length(self):
+        # a mirrored reduced half-word of ⌈n/2⌉ letters: 4 first letters, 3 after
+        counts = collections.Counter(len(p) for p in enumerate_palindromes(AB, 11))
+        assert counts[0] == 1
+        for n in range(1, 12):
+            assert counts[n] == 4 * 3 ** ((n + 1) // 2 - 1)
+
+    @pytest.mark.parametrize("alphabet", [AB, AT], ids=["AB", "AT"])
+    def test_reduced_words_against_all_letter_sequences(self, alphabet):
+        letters = alphabet.letters()
+        for n in range(6):
+            brute = [
+                reduce(seq)
+                for seq in itertools.product(letters, repeat=n)
+                if all(x != (y[0], -y[1]) for x, y in zip(seq, seq[1:]))
+            ]
+            assert list(enumerate_reduced_words(alphabet, n)) == brute
 
     def test_shortlex_order(self):
         seq = [shortlex_key(p, AB) for p in enumerate_palindromes(AB, 6)]

@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from palwidth.heisenberg import HeisElement
-from palwidth.suites import SUITES, available_suites, mat_mul, random_reduced_word, run_suite
+from palwidth.suites import (
+    SUITES,
+    available_suites,
+    mat_mul,
+    random_palindrome,
+    random_reduced_word,
+    run_suite,
+)
 from palwidth.words import AB, AT, reduce
 
 
@@ -89,3 +96,17 @@ def test_random_reduced_word_draws_as_filtering_each_step(alphabet):
                 slow, alphabet, length
             )
         assert fast.getstate() == slow.getstate()
+
+
+def test_pinned_draws():
+    # the verify suites draw their cases through these two generators, so
+    # the same seed must keep giving the same words
+    rng = random.Random(2024)
+    assert [str(random_palindrome(rng, AB, 9)) for _ in range(8)] == [
+        "a^-1 b^-5 a^-1", "a^-1 b^-2 a^-1", "b a^-1 b^-2 a^-1 b", "b^2",
+        "a b^-2 a", "b^-2", "a^-2", "",
+    ]
+    assert [str(random_reduced_word(rng, AT, 6)) for _ in range(6)] == [
+        "t^-1 a^-2 t^-2 a", "t a^-1 t a^-2 t", "t^-1 a^-1 t^2 a t",
+        "a^-3 t^-1 a^2", "t^2 a^-1 t^-2 a^-1", "a t^3 a^2",
+    ]

@@ -11,6 +11,7 @@ from palwidth.words import (
     Alphabet,
     ParseError,
     Word,
+    follow_ups,
     format_word,
     parse,
     reduce,
@@ -375,6 +376,16 @@ def test_shortlex_letter_order():
     ws = [parse(s, AB) for s in ("a", "A", "b", "B", "aa", "ab")]
     keys = [shortlex_key(w, AB) for w in ws]
     assert keys == sorted(keys)
+
+
+def test_follow_ups():
+    # every letter but the inverse of the one before, in letter order
+    assert follow_ups(AB) == {
+        ("a", 1): (("a", 1), ("b", 1), ("b", -1)),
+        ("a", -1): (("a", -1), ("b", 1), ("b", -1)),
+        ("b", 1): (("a", 1), ("a", -1), ("b", 1)),
+        ("b", -1): (("a", 1), ("a", -1), ("b", -1)),
+    }
 
 
 def test_alphabet_validation():
