@@ -13,8 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from palwidth.cli import lookup_group
-from palwidth.search import DEFAULT_BUDGET, BudgetExceeded, ball_table, pal_length_histogram_of
+from palwidth.cli import lookup_group, run
+from palwidth.search import DEFAULT_BUDGET, ball_table, pal_length_histogram_of
 
 
 def census(ev, args) -> None:
@@ -48,15 +48,9 @@ def main():
     parser.add_argument("--max-factors", type=int, default=None)
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
-    try:
-        census(lookup_group(args.group), args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        parser.error(str(exc))
+    census(lookup_group(args.group), args)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

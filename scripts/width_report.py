@@ -15,8 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from palwidth import baumslag, heisenberg, wreath
-from palwidth.search import BudgetExceeded, pal_length_bounded
+from palwidth import baumslag, cli, heisenberg, wreath
+from palwidth.search import pal_length_bounded
 from palwidth.suites import run_suite
 from palwidth.words import AT, parse
 
@@ -33,14 +33,8 @@ def main():
     parser.add_argument("--cases", type=int, default=2000)
     args = parser.parse_args()
     start = time.perf_counter()
-    try:
-        passed = {name: run_suite(name, seed=args.seed, cases=args.cases).passed
-                  for name in ("wreath-witness", "wreath-decomp", "bs-decomp")}
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        parser.error(str(exc))
+    passed = {name: run_suite(name, seed=args.seed, cases=args.cases).passed
+              for name in ("wreath-witness", "wreath-decomp", "bs-decomp")}
 
     def verdict(name):
         return passed[name], f"verify {name} --seed {args.seed} --cases {args.cases}"
@@ -67,4 +61,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.run(main))

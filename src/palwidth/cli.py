@@ -2,9 +2,9 @@
 
 A thin dispatcher over the library; it performs no mathematics itself.
 Exit codes: 0 success/verified, 1 verification failure or a stdout closed
-early, 2 usage or parse error, 3 resource budget exceeded. All randomness
-flows from --seed through random.Random (Mersenne Twister), so reports are
-reproducible.
+early, 2 usage or parse error, 3 resource budget exceeded; a closed stderr
+keeps the code. All randomness flows from --seed through random.Random
+(Mersenne Twister), so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -25,13 +25,20 @@ from .search import (
     pal_length_histogram,
     write_ball_csv,
 )
-from .words import ParseError, parse
+from .words import parse
 from .wreath import NotInDerivedError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# most specific first: NotInDerivedError and CertificateError are ValueErrors
+EXIT_CODES = (
+    (BudgetExceeded, EXIT_BUDGET),
+    ((NotInDerivedError, CertificateError, SelfCheckError), EXIT_VERIFY),
+    ((ValueError, KeyError), EXIT_USAGE),
+)
 
 
 def lookup_group(label: str) -> Evaluator:
@@ -96,27 +103,22 @@ def recheck_certificate(doc: dict) -> bool:
         return False
 
 
-def _open_out(path: str, newline: str | None = None):
+def _open_out(path: str, mode: str = "w", newline: str | None = None):
     """The --out file, opened for writing; a path that cannot be written
     is a usage error, not a verification failure."""
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        return open(path, mode, encoding="utf-8", newline=newline)
     except OSError as exc:
         raise ValueError(f"cannot write --out file: {exc}") from None
 
 
 def _check_out(path: str) -> None:
-    """Refuse an --out path that cannot be written before any work, as
-    `_open_out` would after it. An existing file is opened for appending,
-    which leaves its contents alone; a new one is created and removed."""
-    try:
-        if os.path.lexists(path):
-            open(path, "a").close()
-        else:
-            open(path, "x").close()
-            os.remove(path)
-    except OSError as exc:
-        raise ValueError(f"cannot write --out file: {exc}") from None
+    """Refuse an --out path that cannot be written before any work: open it
+    for appending, which leaves an existing file alone, and remove a new one."""
+    existed = os.path.lexists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _emit(args, payload: str) -> None:
@@ -129,15 +131,13 @@ def _emit(args, payload: str) -> None:
 def cmd_decompose(args) -> int:
     group = lookup_group(args.group)
     if group.decompose is None:
-        print(f"error: no decomposition routine for group {args.group!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no decomposition routine for group {args.group!r}")
     element = _read_element(group, args.element)
     doc = certificate_json(args.group, group.decompose(element), element.to_json())
     payload = json.dumps(doc, sort_keys=True, indent=2)
     _emit(args, payload)
     if args.recheck and not recheck_certificate(json.loads(payload)):
-        print("error: certificate failed re-verification on reload", file=sys.stderr)
-        return EXIT_VERIFY
+        raise CertificateError("certificate failed re-verification on reload")
     return EXIT_OK
 
 
@@ -158,11 +158,7 @@ def cmd_witness(args) -> int:
 def cmd_verify(args) -> int:
     from . import suites  # only verify runs the suites, so other calls skip their import
 
-    try:
-        report = suites.run_suite(args.suite, seed=args.seed, cases=args.cases)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+    report = suites.run_suite(args.suite, seed=args.seed, cases=args.cases)
     _emit(args, json.dumps(report.to_json(), sort_keys=True, indent=2))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
@@ -182,7 +178,7 @@ def cmd_explore(args) -> int:
             "elements": len(table),
             "tool_version": __version__,
         }
-        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+        _print_stderr(json.dumps(summary, sort_keys=True))
         return EXIT_OK
     if args.max_len is not None and args.max_factors is not None:
         radius = args.radius if args.radius is not None else args.max_len
@@ -199,12 +195,10 @@ def cmd_explore(args) -> int:
         }
         _emit(args, json.dumps(doc, sort_keys=True, indent=2))
         return EXIT_OK
-    print(
-        "error: pass --radius for a ball table, or --max-len with --max-factors "
-        "for a palindromic-length histogram",
-        file=sys.stderr,
+    raise ValueError(
+        "pass --radius for a ball table, or --max-len with --max-factors "
+        "for a palindromic-length histogram"
     )
-    return EXIT_USAGE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--max-len", type=int, default=None, dest="max_len")
     p.add_argument("--max-factors", type=int, default=None, dest="max_factors")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="state cap for searches")
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="state cap for searches and for the palindromes of level 1 (so --max-len 23 "
+        "at most at the default)",
+    )
     p.add_argument(
         "--out",
         help="write the ball CSV to a file instead of stdout; a histogram's JSON "
@@ -250,17 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    # let certificates print BS(1, n) exponents of up to MAX_DIGITS digits;
-    # interpreters before 3.10.7 have no limit to raise
-    if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < MAX_DIGITS:
-        sys.set_int_max_str_digits(MAX_DIGITS)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _print_stderr(line: str) -> None:
+    """Write one line to stderr. A closed stderr loses it and is dropped, so
+    that the interpreter's last flush of it cannot fail (exit 120)."""
     try:
-        if getattr(args, "out", None):
-            _check_out(args.out)
-        code = args.func(args)
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):  # a missing (None) or closed stderr
+        sys.stderr = None
+
+
+def run(work) -> int:
+    """Call `work` and flush stdout; an error in EXIT_CODES gives its code and
+    an `error:` line on stderr."""
+    try:
+        code = work()
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -269,15 +270,29 @@ def main(argv=None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_VERIFY
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (NotInDerivedError, CertificateError, SelfCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (ParseError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        code = next((mapped for kinds, mapped in EXIT_CODES if isinstance(exc, kinds)), None)
+        if code is None:
+            raise
+        # str() of a one-argument KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        _print_stderr(f"error: {message}")
+        return code
+
+
+def main(argv=None) -> int:
+    # let certificates print BS(1, n) exponents of up to MAX_DIGITS digits;
+    # interpreters before 3.10.7 have no limit to raise
+    if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < MAX_DIGITS:
+        sys.set_int_max_str_digits(MAX_DIGITS)
+    args = build_parser().parse_args(argv)
+
+    def work() -> int:
+        if getattr(args, "out", None):
+            _check_out(args.out)
+        return args.func(args)
+
+    return run(work)
 
 
 if __name__ == "__main__":

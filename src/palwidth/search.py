@@ -132,6 +132,18 @@ def enumerate_palindromes(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
             yield reduce(letters + letters[: n // 2][::-1])
 
 
+def count_palindromes(alphabet: Alphabet, max_len: int) -> int:
+    """The number of non-empty words `enumerate_palindromes` yields, without
+    enumerating them: 2r·(2r − 1)^(⌈n/2⌉ − 1) of each length n ≥ 1 for r
+    generators, summed in closed form over the pairs of lengths 2m − 1, 2m."""
+    first = len(alphabet.letters())
+    pairs, odd = divmod(max_len, 2)
+    later = first - 1
+    # 1 + later + ... + later^(pairs - 1)
+    series = pairs if later == 1 else (later**pairs - 1) // (later - 1)
+    return first * (2 * series + odd * later**pairs)
+
+
 class PalSearchResult(NamedTuple):
     """Outcome of `pal_length_bounded`: k and verified witness factors, or
     unknown (k is None) within the stated bounds."""
@@ -150,9 +162,15 @@ class _PalProductIndex:
 
     def __init__(self, ev: Evaluator, max_len: int, max_states: int | None) -> None:
         check_budget(max_states)
+        # level 1 has at most one state per palindrome, so once their count
+        # fits under the cap, so does level 1. Each length adds a palindrome,
+        # so lengths past the cap need not be counted.
+        if max_states is not None and (
+            count_palindromes(ev.alphabet, min(max_len, max_states + 1)) > max_states
+        ):
+            raise BudgetExceeded("palindrome product index exceeded its state cap", 0)
         self.ev = ev
         self.max_states = max_states
-        self.states = 0
         # levels[d] maps encoding -> (last palindrome, previous encoding)
         level1: dict[Any, tuple[Word, Any]] = {}
         for w in enumerate_palindromes(ev.alphabet, max_len):
@@ -161,7 +179,7 @@ class _PalProductIndex:
         self.levels: list[dict[Any, tuple[Word, Any]]] = [{}, level1]
         self._inverses: dict[int, list[tuple[Any, Any]]] = {}
         self._joined = 0  # products tried by joins into level len(levels)
-        self._count(len(level1), 1)
+        self.states = len(level1)
 
     def _count(self, added: int, depth: int) -> None:
         self.states += added

@@ -469,6 +469,63 @@ def test_stdout_closed_early_exits_1_without_a_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+SCRIPTS = SRC.parent / "scripts"
+PALWIDTH = [sys.executable, "-m", "palwidth"]
+
+
+def run_with_stderr(argv, stderr):
+    """Exit code and stdout of ARGV with stderr `open` (a pipe that is read),
+    a `pipe` whose read end is closed, or descriptor 2 `closed`. The child
+    buffers its streams, as Python does by default, so what a failed write
+    leaves in the buffer meets the interpreter's last flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    streams = {"stdout": subprocess.PIPE}
+    if stderr == "open":
+        streams["stderr"] = subprocess.PIPE
+    elif stderr == "pipe":
+        read_end, streams["stderr"] = os.pipe()
+        os.close(read_end)
+    else:
+        streams["preexec_fn"] = lambda: os.close(2)
+    try:
+        proc = subprocess.run(argv, env=env, timeout=60, **streams)
+    finally:
+        if stderr == "pipe":
+            os.close(streams["stderr"])
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # before every entry point wrote its errors through one writer, each
+        # row exited 120 with stderr closed (the interpreter's last flush of
+        # stderr failed); with unbuffered streams the rows marked "parent: 1"
+        # exited 1
+        (PALWIDTH + ["decompose", "--group", "nope", "a"], 2),  # parent: 1
+        (PALWIDTH + ["verify", "bogus"], 2),  # parent: 1
+        (PALWIDTH + ["decompose", "--group", "heis", "a"], 2),  # parent: 1
+        (PALWIDTH + ["explore", "--group", "heis"], 2),  # parent: 1
+        (PALWIDTH + ["explore", "--group", "wreath", "--radius", "30", "--budget", "10"], 3),  # parent: 1
+        (PALWIDTH + ["witness", '{"support": {"0": 1}, "shift": 0}'], 1),
+        (PALWIDTH + ["explore", "--group", "heis", "--radius", "2"], 0),  # parent: 1
+        ([sys.executable, str(SCRIPTS / "ball_census.py"), "--group", "wreath", "--radius", "30",
+          "--budget", "10"], 3),  # parent: 1
+        ([sys.executable, str(SCRIPTS / "width_report.py"), "--cases", "100001"], 3),  # parent: 1
+        ([sys.executable, str(SCRIPTS / "width_report.py"), "--cases", "0"], 2),
+    ],
+    ids=["bad-group", "unknown-suite", "no-certificates", "no-mode", "budget", "not-derived",
+         "ball-summary", "census-budget", "report-case-cap", "report-no-cases"],
+)
+def test_a_closed_stderr_keeps_the_exit_code_and_stdout(argv, code):
+    # the `explore` ball writes its CSV to stdout and its summary to stderr
+    expected = run_with_stderr(argv, "open")
+    assert expected[0] == code
+    for stderr in ("pipe", "closed"):
+        assert run_with_stderr(argv, stderr) == expected, stderr
+
+
 class TestInputCap:
     @pytest.mark.parametrize(
         "group, text, factor, num",
@@ -558,6 +615,20 @@ class TestInputCap:
         assert proc.stdout == ""
         assert proc.stderr == (
             "error: palindrome product index exceeded its state cap (completed depth 1)\n"
+        )
+
+    @pytest.mark.parametrize("group, max_len", [("heis", "40"), ("wreath", "28")])
+    def test_palindromes_over_the_budget_exit_before_enumerating(self, group, max_len):
+        # heis at max_len 40 has 13,947,137,600 palindromes; their count,
+        # not their images, is held to the default budget
+        proc, seconds = run_capped(
+            "explore", "--group", group, "--radius", "0", "--max-len", max_len, "--max-factors", "1"
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert seconds < 5
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: palindrome product index exceeded its state cap (completed depth 0)\n"
         )
 
     def test_huge_group_parameter_zero_translation_certifies(self):

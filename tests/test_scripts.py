@@ -62,6 +62,23 @@ def test_report_refuses_bad_case_counts(cases, code):
     assert expected in proc.stderr
 
 
+def test_report_read_for_one_line_exits_1_without_a_traceback():
+    # the reader takes one line and goes away, as `| head -n 1` does; the
+    # report writes each fact as it is found (unbuffered), so a later fact
+    # meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "width_report.py"), "--cases", "30"],
+        env=dict(os.environ, PYTHONUNBUFFERED="1"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"[PASS] commutator width of Z wr Z is 1")
+    proc.stdout.close()
+    err = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def census(*args):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / "ball_census.py"), *args],

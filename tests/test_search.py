@@ -15,6 +15,7 @@ from palwidth.search import (
     _PalProductIndex,
     ball_table,
     check_digits,
+    count_palindromes,
     enumerate_palindromes,
     enumerate_reduced_words,
     pal_length_bounded,
@@ -88,6 +89,12 @@ class TestEnumeration:
         assert counts[0] == 1
         for n in range(1, 12):
             assert counts[n] == 4 * 3 ** ((n + 1) // 2 - 1)
+
+    @pytest.mark.parametrize("alphabet", [AB, AT], ids=["AB", "AT"])
+    def test_count_without_enumerating(self, alphabet):
+        counts = [count_palindromes(alphabet, n) for n in range(12)]
+        assert counts == [0, 4, 8, 20, 32, 68, 104, 212, 320, 644, 968, 1_940]
+        assert counts == [sum(1 for p in enumerate_palindromes(alphabet, n) if p) for n in range(12)]
 
     @pytest.mark.parametrize("alphabet", [AB, AT], ids=["AB", "AT"])
     def test_reduced_words_against_all_letter_sequences(self, alphabet):
@@ -364,7 +371,22 @@ class TestHistogram:
             pal_length_histogram(ev, 4, 3, 4, max_states=200)
         assert exc.value.completed == 1
 
-    @pytest.mark.parametrize("room, mul_calls", [(0, 1), (100, 103), (7_770, 9_604)])
+    @pytest.mark.parametrize("cap", [98, 103])
+    def test_an_index_over_the_cap_trips_before_evaluating_a_palindrome(self, cap):
+        # Z wr Z, max_len 6: 104 palindromes with 98 images. Their count is
+        # checked before any is evaluated, so a cap below it trips at depth
+        # 0 even where the images would fit.
+        ev, calls = counting(wreath.evaluator())
+        with pytest.raises(BudgetExceeded) as exc:
+            _PalProductIndex(ev, 6, cap)
+        assert str(exc.value) == (
+            "palindrome product index exceeded its state cap (completed depth 0)"
+        )
+        assert calls == {"eval": 0, "mul": 0, "inv": 0}
+        index = _PalProductIndex(ev, 6, 104)
+        assert calls["eval"] == 104 and index.states == len(index.levels[1]) == 98
+
+    @pytest.mark.parametrize("room, mul_calls", [(100, 103), (7_770, 9_604)])
     def test_a_level_over_the_cap_stops_as_it_outgrows_the_room(self, room, mul_calls):
         # Z wr Z, max_len 6: level 2 has 7,771 states from 9,604 products,
         # the last of them new. With room for fewer, its build stops at the
@@ -405,8 +427,8 @@ def test_levels_never_shrink(ev, max_len):
 
 
 def counting(ev):
-    """`ev` with counted `mul` and `inv` callbacks, and the counts."""
-    calls = {"mul": 0, "inv": 0}
+    """`ev` with counted `eval`, `mul` and `inv` callbacks, and the counts."""
+    calls = {"eval": 0, "mul": 0, "inv": 0}
 
     def counted(kind, fn):
         def wrapped(*args):
@@ -415,7 +437,10 @@ def counting(ev):
 
         return wrapped
 
-    return dataclasses.replace(ev, mul=counted("mul", ev.mul), inv=counted("inv", ev.inv)), calls
+    counted_ev = dataclasses.replace(
+        ev, eval=counted("eval", ev.eval), mul=counted("mul", ev.mul), inv=counted("inv", ev.inv)
+    )
+    return counted_ev, calls
 
 
 def outcome(histogram):
