@@ -13,11 +13,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from palwidth.cli import lookup_group, run
-from palwidth.search import DEFAULT_BUDGET, ball_table, pal_length_histogram_of
+from palwidth.cli import lookup_group, run, wants_histogram
+from palwidth.search import DEFAULT_BUDGET, ball_table, check_bounds, pal_length_histogram_of
 
 
 def census(ev, args) -> None:
+    histogram = wants_histogram(args)
+    if histogram:  # usage errors come before the ball is built
+        check_bounds(args.max_factors, args.max_len)
     # one breadth-first search gives every radius: the ball of radius r
     # holds the entries of length <= r
     table = ball_table(ev, args.radius, max_states=args.budget)
@@ -29,7 +32,7 @@ def census(ev, args) -> None:
         elements += per_length[r]
         print(f"{r},{elements}")
 
-    if args.max_len is not None and args.max_factors is not None:
+    if histogram:
         hist = pal_length_histogram_of(
             ev, table, args.max_factors, args.max_len, max_states=args.budget
         )

@@ -4,7 +4,9 @@ The generic word-level constructions: conjugates and commutators of
 palindrome products. Every constructor returns a PalindromicDecomposition
 that has already passed `check_free`; the checker only uses word
 primitives (reversal, reduction, concatenation), so it stays independent
-of the construction code it validates.
+of the construction code it validates. Each answer is checked once, by
+its constructor; a failed self-check here or in `check_group_certificate`
+raises SelfCheckError, which `suites.run_suite` reports as a failed run.
 
 Factor-count bookkeeping: conjugating a product of k palindromes costs
 k + (k mod 2) factors, and a commutator against such a product costs
@@ -122,7 +124,10 @@ def _free_certificate(
     target: Word, factors: Sequence[Word], alphabet: Alphabet
 ) -> PalindromicDecomposition:
     dec = PalindromicDecomposition(target, tuple(f for f in factors if f), alphabet)
-    check_free(dec)
+    try:
+        check_free(dec)
+    except CertificateError as exc:
+        raise SelfCheckError(f"certificate invalid: {exc}") from exc
     return dec
 
 

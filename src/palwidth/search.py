@@ -262,7 +262,7 @@ class _PalProductIndex:
         return found
 
 
-def _check_bounds(max_factors: int, max_len: int) -> None:
+def check_bounds(max_factors: int, max_len: int) -> None:
     if max_factors < 1:
         raise ValueError("max_factors must be at least 1")
     if max_len < 1:
@@ -279,7 +279,7 @@ def pal_length_bounded(
     """Smallest k <= max_factors expressing `target` as a product of k
     enumerated palindromes of length <= max_len, with a verified witness;
     unknown otherwise. Absence is not a proof."""
-    _check_bounds(max_factors, max_len)
+    check_bounds(max_factors, max_len)
     if target == ev.eval(EMPTY):
         return PalSearchResult(0, ())
     index = _PalProductIndex(ev, max_len, max_states)
@@ -361,7 +361,7 @@ def pal_length_histogram(
 ) -> dict[str, int]:
     """Bounded palindromic-length histogram over the ball of the given
     radius; elements not expressible within the bounds count as unknown."""
-    _check_bounds(max_factors, max_len)  # a usage error before any ball is built
+    check_bounds(max_factors, max_len)  # a usage error before any ball is built
     return pal_length_histogram_of(
         ev, ball_table(ev, radius, max_states), max_factors, max_len, max_states
     )
@@ -375,7 +375,7 @@ def pal_length_histogram_of(
     max_states: int | None = None,
 ) -> dict[str, int]:
     """`pal_length_histogram` over the elements of a built ball table."""
-    _check_bounds(max_factors, max_len)
+    check_bounds(max_factors, max_len)
     index = _PalProductIndex(ev, max_len, max_states)
     identity = ev.eval(EMPTY)
     hist: dict[str, int] = {str(k): 0 for k in range(max_factors + 1)}

@@ -224,18 +224,20 @@ def commutator_witness(g: WreathElement) -> dict[int, int]:
             "element is not in the derived subgroup (needs shift 0 and exponent sum 0)"
         )
     _check_span(g)
-    return _solve_commutator(g)
+    f = _solve_commutator(g)
+    if commutator_with_b(f) != g:
+        raise SelfCheckError("commutator witness failed re-verification")
+    return f
 
 
 def _solve_commutator(g: WreathElement) -> dict[int, int]:
+    # unchecked: the callers check the witness, or the certificate built on it
     f: dict[int, int] = {}
     acc = 0
     for (i, e), (j, _) in zip(g.tail, g.tail[1:]):
         acc += e
         if acc:
             f.update(dict.fromkeys(range(i, j), -acc))
-    if commutator_with_b(f) != g:
-        raise SelfCheckError("commutator witness failed re-verification")
     return f
 
 
@@ -256,22 +258,18 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
     canonical = to_word(g)
     if canonical.is_palindrome():
         factors: tuple[Word, ...] = (canonical,) if canonical else ()
-        dec = PalindromicDecomposition(canonical, factors, AB)
-        check_group_certificate(dec, evaluate, g, 3)
-        return dec
-    k = sum(e for _, e in g.tail)
-    l = g.shift
-    derived = WreathElement(_merge((), g.tail + ((1, -k),), l), 0)
-    f = [(i - l, e) for i, e in _solve_commutator(derived).items()]
-    w_pos = support_word(f)
-    w_neg = support_word((i, -e) for i, e in f)
-    b_inv = run_word("b", -1)
-    first = w_neg * b_inv * w_neg.reverse()
-    middle = w_pos.reverse() * run_word("a", k) * w_pos
-    last = run_word("b", l + 1)
-    dec = PalindromicDecomposition(
-        canonical, tuple(x for x in (first, middle, last) if x), AB
-    )
+    else:
+        k = sum(e for _, e in g.tail)
+        l = g.shift
+        derived = WreathElement(_merge((), g.tail + ((1, -k),), l), 0)
+        f = [(i - l, e) for i, e in _solve_commutator(derived).items()]
+        w_pos = support_word(f)
+        w_neg = support_word((i, -e) for i, e in f)
+        first = w_neg * run_word("b", -1) * w_neg.reverse()
+        middle = w_pos.reverse() * run_word("a", k) * w_pos
+        last = run_word("b", l + 1)
+        factors = tuple(x for x in (first, middle, last) if x)
+    dec = PalindromicDecomposition(canonical, factors, AB)
     check_group_certificate(dec, evaluate, g, 3)
     return dec
 

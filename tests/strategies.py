@@ -1,7 +1,9 @@
-"""Shared hypothesis strategies for word-level property tests."""
+"""Shared hypothesis strategies for word-level property tests, and shared
+test helpers."""
 
 import hypothesis.strategies as st
 
+from palwidth.palindromes import PalindromicDecomposition
 from palwidth.words import AB, Alphabet, Word, reduce
 
 
@@ -36,3 +38,9 @@ def shortlex_key(w: Word, alphabet: Alphabet):
     declared order a < a^-1 < b < b^-1 < ..."""
     rank = {letter: i for i, letter in enumerate(alphabet.letters())}
     return (len(w), tuple(rank[letter] for letter in w.letters))
+
+
+def dropping_the_last_factor(target, factors, context):
+    """A broken stand-in for the certificate record: monkeypatched into a
+    constructor's module, it makes that constructor's self-check fail."""
+    return PalindromicDecomposition(target, factors[:-1], context)

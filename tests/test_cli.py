@@ -125,6 +125,14 @@ class TestWitness:
         assert code == 0
         assert json.loads(out)["witness"]["support"] == {}
 
+    def test_a_failed_self_check_exits_1_with_no_payload(self, monkeypatch, capsys):
+        # every printed payload has "matches": true; a witness with
+        # [f, b] != c is refused by commutator_witness before any output
+        monkeypatch.setattr(wreath, "_solve_commutator", lambda g: {0: 2})
+        code, out, err = run(capsys, "witness", '{"support": {"0": -1, "1": 1}, "shift": 0}')
+        assert code == 1 and out == ""
+        assert err == "error: commutator witness failed re-verification\n"
+
     def test_not_in_derived_subgroup(self, capsys):
         code, _, err = run(capsys, "witness", '{"support": {}, "shift": 1}')
         assert code == 1 and "derived" in err
@@ -232,6 +240,15 @@ class TestExplore:
     def test_usage_error_without_mode(self, capsys):
         code, _, _ = run(capsys, "explore", "--group", "heis")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "given, missing", [("--max-factors", "--max-len"), ("--max-len", "--max-factors")]
+    )
+    def test_a_lone_histogram_bound_is_usage_error(self, capsys, given, missing):
+        # with --radius a lone --max-factors printed the ball and exited 0
+        code, out, err = run(capsys, "explore", "--group", "heis", "--radius", "1", given, "2")
+        assert code == 2 and out == ""
+        assert err == f"error: a palindromic-length histogram needs {missing} as well\n"
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "explore", "--group", "heis", "--radius", "6", "--budget", "5")

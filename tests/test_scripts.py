@@ -34,18 +34,22 @@ def test_script_runs_outside_the_repo(tmp_path, script, args, facts):
     assert all(line.startswith("[PASS]") for line in reported)
 
 
-@pytest.mark.parametrize("bound", ["--max-len", "--max-factors"])
-def test_census_rejects_an_empty_search(bound):
-    args = {"--max-len": "4", "--max-factors": "2", bound: "0"}
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "ball_census.py"), "--radius", "1",
-         *(x for kv in args.items() for x in kv)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
-    assert f"{bound[2:].replace('-', '_')} must be at least 1" in proc.stderr
+@pytest.mark.parametrize(
+    "bounds, error",
+    [
+        (["--max-len", "0", "--max-factors", "2"], "max_len must be at least 1"),
+        (["--max-len", "4", "--max-factors", "0"], "max_factors must be at least 1"),
+        # alone, either bound printed the growth table and exited 0
+        (["--max-factors", "2"], "a palindromic-length histogram needs --max-len as well"),
+        (["--max-len", "4"], "a palindromic-length histogram needs --max-factors as well"),
+    ],
+    ids=["--max-len", "--max-factors", "lone --max-factors", "lone --max-len"],
+)
+def test_census_rejects_an_empty_search(bounds, error):
+    # the bounds are checked before the ball is built, so nothing is printed
+    proc = census("--radius", "1", *bounds)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("cases, code", [("0", 2), ("-1", 2), ("100001", 3)])
@@ -120,10 +124,21 @@ def test_census_budget_below_one_is_usage_error(budget):
     assert proc.stderr.endswith("error: budget must be at least 1\n")
 
 
-def test_census_builds_one_ball(monkeypatch, capsys):
-    # the histogram runs over the census's own table, not a second search
+def load_script(monkeypatch, name, *args):
+    """The script as a module, with these command-line arguments; its own
+    sys.path entry is undone after the test."""
     import importlib.util
 
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    return module
+
+
+def test_census_builds_one_ball(monkeypatch, capsys):
+    # the histogram runs over the census's own table, not a second search
     from palwidth import search
     from palwidth.cli import lookup_group
 
@@ -135,14 +150,25 @@ def test_census_builds_one_ball(monkeypatch, capsys):
         return ball_table(*args, **kwargs)
 
     monkeypatch.setattr(search, "ball_table", counting_ball_table)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("ball_census", SCRIPTS / "ball_census.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
     args = ["--group", "heis", "--radius", "6", "--max-len", "4", "--max-factors", "2"]
-    monkeypatch.setattr(sys, "argv", ["ball_census.py", *args])
+    module = load_script(monkeypatch, "ball_census.py", *args)
     assert module.main() == 0
     assert len(calls) == 1
     rows = capsys.readouterr().out.splitlines()
     hist = search.pal_length_histogram(lookup_group("heis"), 6, 2, 4)
     assert rows[-len(hist):] == [f"{k},{v}" for k, v in hist.items()]
+
+
+def test_report_shows_a_failed_self_check_as_a_failed_fact(monkeypatch, capsys):
+    # a constructor's SelfCheckError is a failed suite, so the report goes
+    # on and prints [FAIL] for that fact instead of stopping
+    from strategies import dropping_the_last_factor
+
+    from palwidth import wreath
+
+    module = load_script(monkeypatch, "width_report.py", "--cases", "30")
+    monkeypatch.setattr(wreath, "PalindromicDecomposition", dropping_the_last_factor)
+    assert module.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "[FAIL] pw(Z wr Z) <= 3: verify wreath-decomp --seed 0 --cases 30"
+    assert [line[:6] for line in lines[:5]] == ["[PASS]", "[FAIL]", "[PASS]", "[PASS]", "[PASS]"]

@@ -1,9 +1,13 @@
+import json
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from strategies import dropping_the_last_factor
 
+from palwidth import baumslag, palindromes, wreath
+from palwidth.cli import main
 from palwidth.heisenberg import HeisElement
 from palwidth.suites import (
     SUITES,
@@ -31,6 +35,34 @@ def test_unknown_suite():
 def test_registry_covers_documented_names():
     for name in ("wreath-hom", "heis-matrix-oracle", "bs-roundtrip"):
         assert name in SUITES
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, suite, message",
+    [
+        (palindromes, "PalindromicDecomposition", dropping_the_last_factor,
+         "palrewrite-bounds", "certificate invalid: factor product"),
+        (wreath, "commutator_with_b", lambda f: wreath.WreathElement.of([(0, 1)]),
+         "wreath-witness", "commutator witness failed re-verification"),
+        (wreath, "PalindromicDecomposition", dropping_the_last_factor,
+         "wreath-decomp", "certificate invalid: "),
+        (baumslag, "PalindromicDecomposition", dropping_the_last_factor,
+         "bs-decomp", "certificate invalid: "),
+    ],
+    ids=["palrewrite-bounds", "wreath-witness", "wreath-decomp", "bs-decomp"],
+)
+def test_a_failed_self_check_fails_its_suite(monkeypatch, capsys, module, name, broken, suite, message):
+    # each constructor checks its answer once; run_suite turns the
+    # SelfCheckError into a failed report, and verify prints it and exits 1
+    monkeypatch.setattr(module, name, broken)
+    report = run_suite(suite, cases=30)
+    assert report.passed is False and len(report.failures) == 1
+    assert report.failures[0].startswith(message)
+    assert main(["verify", suite, "--cases", "30"]) == 1
+    assert json.loads(capsys.readouterr().out) == report.to_json()
+    for other in available_suites():
+        if other != suite:
+            assert run_suite(other, cases=30).passed, other
 
 
 def test_deterministic_given_seed():
