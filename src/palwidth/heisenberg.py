@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from .palindromes import SelfCheckError
+from .palindromes import PalindromicDecomposition, check_group_certificate
 from .search import Evaluator
 from .words import AB, EMPTY, Word, run_word
 from .wreath import WreathElement
@@ -157,8 +157,8 @@ def two_palindrome_product(h: HeisElement) -> tuple[Word, Word] | None:
             w1 = palindrome_word_for(x1, y1)
             w2 = palindrome_word_for(x2, y2)
             assert w1 is not None and w2 is not None
-            if evaluate(w1) * evaluate(w2) != h:
-                raise SelfCheckError("two-palindrome witness failed re-verification")
+            dec = PalindromicDecomposition(w1 * w2, tuple(w for w in (w1, w2) if w), AB)
+            check_group_certificate(dec, evaluate, h, 2)
             return (w1, w2)
     return None
 

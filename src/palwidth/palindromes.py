@@ -1,25 +1,29 @@
-"""Palindromic factorization certificates in the free group.
+"""Palindromic factorization certificates, and their one self-check.
 
 The generic word-level constructions: conjugates and commutators of
-palindrome products. Every constructor returns a PalindromicDecomposition
-that has already passed `check_free`; the checker only uses word
-primitives (reversal, reduction, concatenation), so it stays independent
-of the construction code it validates. Each answer is checked once, by
-its constructor; a failed self-check here or in `check_group_certificate`
-raises SelfCheckError, which `suites.run_suite` reports as a failed run.
+palindrome products in the free group. `check_group_certificate` is the
+only self-check of a palindromic answer, here and in every group module:
+a reduced word is its own exact value in the free group, so the free
+constructions pass it the identity as their evaluator. The checker only
+uses word primitives (reversal, reduction, concatenation) and the
+evaluator, so it stays independent of the construction code it
+validates. Each answer is checked once, by its constructor; a failed
+self-check raises SelfCheckError, which `suites.run_suite` reports as a
+failed run.
 
 Factor-count bookkeeping: conjugating a product of k palindromes costs
 k + (k mod 2) factors, and a commutator against such a product costs
-2k + (k mod 2). Factors that reduce to the empty word are dropped, so the
-counts are upper bounds.
+2k + (k mod 2); each constructor checks its own bound. Factors that
+reduce to the empty word are dropped, so the counts are upper bounds.
 """
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .words import Alphabet, Word
+from .words import EMPTY, Alphabet, Word
 
 
 class NotAPalindromeError(ValueError):
@@ -37,10 +41,9 @@ class SelfCheckError(RuntimeError):
 class PalindromicDecomposition(NamedTuple):
     """An ordered factorization of `target` into palindromic words.
 
-    For the free-group constructions in this module the factor product
-    freely reduces to the target; group-level constructors (wreath,
-    Baumslag-Solitar) validate the product under their exact evaluator
-    instead, via `check_in_group`.
+    The factor product equals the target under an exact evaluator, which
+    for the free-group constructions in this module is the identity on
+    reduced words; see `check_in_group`.
     """
 
     target: Word
@@ -55,7 +58,7 @@ class PalindromicDecomposition(NamedTuple):
 def _check_factors(dec: PalindromicDecomposition) -> Word:
     """Shared factor checks; returns the reduced factor product."""
     allowed = set(dec.context.names)
-    product = Word()
+    product = EMPTY
     for f in dec.factors:
         if not f:
             raise CertificateError("certificate contains an empty factor")
@@ -76,22 +79,13 @@ def _check_alphabet(w: Word, allowed: set[str], what: str) -> None:
         raise CertificateError(f"{what} letter {gen!r} outside the alphabet")
 
 
-def check_free(dec: PalindromicDecomposition) -> None:
-    """Validate in the free group: palindromic factors whose reduced
-    concatenation equals the target. Raises CertificateError."""
-    product = _check_factors(dec)
-    if product != dec.target:
-        raise CertificateError(
-            f"factor product {str(product)!r} does not reduce to target {str(dec.target)!r}"
-        )
-
-
 def check_in_group(dec: PalindromicDecomposition, evaluate: Callable[[Word], object]) -> object:
     """Validate with group equality decided by an exact evaluator; returns
     the target's value, so a caller need not evaluate it again."""
     product = _check_factors(dec)
     value = evaluate(dec.target)
-    if evaluate(product) != value:
+    # equal reduced words are equal in every group
+    if product != dec.target and evaluate(product) != value:
         raise CertificateError("factor product differs from target in the group")
     return value
 
@@ -120,22 +114,9 @@ def _require_palindrome(p: Word) -> None:
         raise NotAPalindromeError(f"{str(p)!r} is not a palindrome")
 
 
-def _free_certificate(
-    target: Word, factors: Sequence[Word], alphabet: Alphabet
-) -> PalindromicDecomposition:
-    dec = PalindromicDecomposition(target, tuple(f for f in factors if f), alphabet)
-    try:
-        check_free(dec)
-    except CertificateError as exc:
-        raise SelfCheckError(f"certificate invalid: {exc}") from exc
-    return dec
-
-
-def _concat(ws: Sequence[Word]) -> Word:
-    out = Word()
-    for w in ws:
-        out = out * w
-    return out
+def _free_value(w: Word) -> Word:
+    # the exact evaluator of the free group: a reduced word is its own value
+    return w
 
 
 def _star(u: Word) -> Word:
@@ -170,8 +151,10 @@ def conjugate_decomposition(
     if len(pals) % 2:
         factors.append(u_inv * pals[-1] * u_star)
         factors.append(u_rev * u)
-    target = u_inv * _concat(pals) * u
-    return _free_certificate(target, factors, alphabet)
+    target = u_inv * math.prod(pals, start=EMPTY) * u
+    dec = PalindromicDecomposition(target, tuple(f for f in factors if f), alphabet)
+    check_group_certificate(dec, _free_value, target, len(pals) + len(pals) % 2)
+    return dec
 
 
 def commutator_decomposition(
@@ -184,9 +167,13 @@ def commutator_decomposition(
         raise ValueError("need at least one palindrome")
     for p in pals:
         _require_palindrome(p)
-    product = _concat(pals)
+    product = math.prod(pals, start=EMPTY)
     conjugated = conjugate_decomposition(
         u, tuple(p.inverse() for p in reversed(pals)), alphabet
     )
     target = u.inverse() * product.inverse() * u * product
-    return _free_certificate(target, conjugated.factors + pals, alphabet)
+    dec = PalindromicDecomposition(
+        target, tuple(f for f in conjugated.factors + pals if f), alphabet
+    )
+    check_group_certificate(dec, _free_value, target, 2 * len(pals) + len(pals) % 2)
+    return dec

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
-from .palindromes import PalindromicDecomposition, SelfCheckError
+from .palindromes import PalindromicDecomposition, check_group_certificate
 from .words import EMPTY, Alphabet, Letter, Word, follow_ups, reduce
 
 
@@ -287,11 +287,8 @@ def pal_length_bounded(
         split = index.split(target, k)
         if split is not None:
             factors = index.factors(k, split)
-            product = Word()
-            for w in factors:
-                product = product * w
-            if ev.eval(product) != target:
-                raise SelfCheckError("search witness failed re-verification")
+            dec = PalindromicDecomposition(math.prod(factors, start=EMPTY), factors, ev.alphabet)
+            check_group_certificate(dec, ev.eval, target, k)
             return PalSearchResult(k, factors)
     return PalSearchResult(None, None)
 

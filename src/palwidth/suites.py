@@ -4,10 +4,13 @@ Each suite draws every case from a single random.Random(seed) (Python's
 Mersenne Twister, stable across platforms) and returns a report; the
 acceptance tests reuse the same functions at their stated sizes.
 
-Each constructed answer is checked once, by its constructor: a suite adds
-only the checks the constructor does not make, and `run_suite` records a
-constructor's SelfCheckError as a failed run, whose report `verify` prints
-before it exits 1.
+Each constructed answer is checked once, by its constructor, through
+`palindromes.check_group_certificate` (product, palindromic factors and
+factor bound) or its own exact check: the construction suites
+(`palrewrite-bounds`, `wreath-decomp`, `bs-decomp`) only draw cases, the
+others add only the checks a constructor does not make, and `run_suite`
+records a constructor's SelfCheckError as a failed run, whose report
+`verify` prints before it exits 1.
 
 This module also houses the 3x3 unitriangular integer-matrix model of the
 class-2 group: it is the independent oracle for the coordinate product
@@ -191,19 +194,12 @@ def _suite_freeword_fuzz(rng: random.Random, cases: int) -> list[str]:
 
 
 def _suite_palrewrite_bounds(rng: random.Random, cases: int) -> list[str]:
-    failures = []
     for _ in range(cases):
         u = random_word(rng, AB, 8)
-        k = rng.randint(1, 4)
-        pals = tuple(random_palindrome(rng, AB, 8) for _ in range(k))
-        eps = k % 2
-        conj = palindromes.conjugate_decomposition(u, pals, AB)
-        if conj.length > k + eps:
-            failures.append(f"conjugate bound violated: {conj.length} > {k + eps}")
-        comm = palindromes.commutator_decomposition(u, pals, AB)
-        if comm.length > 2 * k + eps:
-            failures.append(f"commutator bound violated: {comm.length} > {2 * k + eps}")
-    return failures
+        pals = tuple(random_palindrome(rng, AB, 8) for _ in range(rng.randint(1, 4)))
+        palindromes.conjugate_decomposition(u, pals, AB)
+        palindromes.commutator_decomposition(u, pals, AB)
+    return []
 
 
 def _suite_wreath_hom(rng: random.Random, cases: int) -> list[str]:

@@ -268,7 +268,7 @@ def _scan(text: str, alphabet: Alphabet) -> list[Syllable]:
             if j < n and text[j] in "+-":
                 j += 1
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and text[k] in "0123456789":  # ASCII only, unlike isdigit
                 k += 1
             if k == j:
                 raise ParseError("expected an integer exponent after '^'", start)

@@ -293,8 +293,8 @@ def palindrome_witness(g: WreathElement) -> Word | None:
     u = support_word((i, e) for i, e in g.tail if 2 * i > -s) * run_word("b", s // 2)
     centre = run_word("b", 1) if s % 2 else run_word("a", dict(g.tail).get(-s // 2, 0))
     witness = u * centre * u.reverse()
-    if not witness.is_palindrome() or evaluate(witness) != g:
-        raise SelfCheckError("palindrome witness failed re-verification")
+    dec = PalindromicDecomposition(witness, (witness,) if witness else (), AB)
+    check_group_certificate(dec, evaluate, g, 1)
     return witness
 
 

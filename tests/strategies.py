@@ -44,3 +44,16 @@ def dropping_the_last_factor(target, factors, context):
     """A broken stand-in for the certificate record: monkeypatched into a
     constructor's module, it makes that constructor's self-check fail."""
     return PalindromicDecomposition(target, factors[:-1], context)
+
+
+def padding_with_a_cancelling_pair(target, factors, context):
+    """A broken stand-in like `dropping_the_last_factor`: the same product
+    in two more factors than the constructor built, a and a^-1."""
+    pair = (reduce([("a", 1)]), reduce([("a", -1)]))
+    return PalindromicDecomposition(target, factors + pair, context)
+
+
+def free_value(word):
+    """The exact evaluator of the free group: a reduced word is its own
+    value, so `check_in_group(dec, free_value)` checks a free certificate."""
+    return word

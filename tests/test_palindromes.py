@@ -1,19 +1,26 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from strategies import palindromes, words
+from strategies import (
+    dropping_the_last_factor,
+    free_value,
+    padding_with_a_cancelling_pair,
+    palindromes,
+    words,
+)
 
 from palwidth.palindromes import (
     CertificateError,
     NotAPalindromeError,
     PalindromicDecomposition,
     SelfCheckError,
-    check_free,
     check_group_certificate,
+    check_in_group,
     commutator_decomposition,
     conjugate_decomposition,
 )
-from palwidth import wreath
+from palwidth import baumslag, heisenberg, search, wreath
+from palwidth import palindromes as free_constructions
 from palwidth.words import AB, AT, EMPTY, Alphabet, Word, parse
 
 
@@ -72,7 +79,7 @@ class TestConjugate:
     def test_certified_and_bounded(self, u, pals):
         k = len(pals)
         dec = conjugate_decomposition(u, pals, AB)
-        check_free(dec)
+        check_in_group(dec, free_value)
         assert dec.length <= k + (k % 2)
         expected = u.inverse() * free_product(pals) * u
         assert free_product(dec.factors) == expected
@@ -97,7 +104,7 @@ class TestCommutator:
     def test_certified_and_bounded(self, u, pals):
         k = len(pals)
         dec = commutator_decomposition(u, pals, AB)
-        check_free(dec)
+        check_in_group(dec, free_value)
         assert dec.length <= 2 * k + (k % 2)
         p = free_product(pals)
         assert free_product(dec.factors) == u.inverse() * p.inverse() * u * p
@@ -113,40 +120,43 @@ class TestPalPairPower:
             p, q, m = q.inverse(), p.inverse(), -m
         factors = (power(p * q, m - 1) * p, q) if m else ()
         dec = PalindromicDecomposition(target, tuple(f for f in factors if f), AB)
-        check_free(dec)
+        check_in_group(dec, free_value)
         assert dec.length <= 2
 
 
 class TestChecker:
+    """`check_in_group` in the free group, whose exact evaluator is the
+    identity on reduced words."""
+
     def test_detects_non_palindromic_factor(self):
         with pytest.raises(CertificateError):
-            check_free(PalindromicDecomposition(w("ab"), (w("ab"),), AB))
+            check_in_group(PalindromicDecomposition(w("ab"), (w("ab"),), AB), free_value)
 
     def test_detects_wrong_product(self):
         with pytest.raises(CertificateError):
-            check_free(PalindromicDecomposition(w("a"), (w("b"),), AB))
+            check_in_group(PalindromicDecomposition(w("a"), (w("b"),), AB), free_value)
 
     def test_detects_empty_factor(self):
         with pytest.raises(CertificateError):
-            check_free(PalindromicDecomposition(EMPTY, (EMPTY,), AB))
+            check_in_group(PalindromicDecomposition(EMPTY, (EMPTY,), AB), free_value)
 
     def test_detects_missing_factors(self):
         with pytest.raises(CertificateError):
-            check_free(PalindromicDecomposition(w("a"), (), AB))
+            check_in_group(PalindromicDecomposition(w("a"), (), AB), free_value)
 
     def test_detects_foreign_letters(self):
         t = parse("t", AT)
         with pytest.raises(CertificateError):
-            check_free(PalindromicDecomposition(t, (t,), AB))
+            check_in_group(PalindromicDecomposition(t, (t,), AB), free_value)
 
     def test_foreign_letter_messages_name_the_first_one(self):
         abt = Alphabet(("a", "b", "t"))
         factor = parse("a t b t a", abt)
         with pytest.raises(CertificateError, match="^factor letter 't' outside the alphabet$"):
-            check_free(PalindromicDecomposition(factor, (factor,), AB))
+            check_in_group(PalindromicDecomposition(factor, (factor,), AB), free_value)
         target = parse("b a t", abt)
         with pytest.raises(CertificateError, match="^target letter 't' outside the alphabet$"):
-            check_free(PalindromicDecomposition(target, (w("a"),), AB))
+            check_in_group(PalindromicDecomposition(target, (w("a"),), AB), free_value)
 
 
 class TestGroupCertificate:
@@ -181,3 +191,59 @@ class TestGroupCertificate:
         dec = PalindromicDecomposition(w("ab"), (w("a"), w("b")), AB)
         with pytest.raises(SelfCheckError, match="2 factors, expected <= 1"):
             check_group_certificate(dec, wreath.evaluate, wreath.evaluate(w("ab")), 1)
+
+
+class TestOneSelfCheck:
+    """Every palindromic answer goes through `check_group_certificate`: a
+    constructor whose certificate loses its last factor raises."""
+
+    @pytest.mark.parametrize(
+        "module, build",
+        [
+            (free_constructions,
+             lambda: conjugate_decomposition(w("b"), (w("a"), w("a")), AB)),
+            (free_constructions,
+             lambda: commutator_decomposition(w("b"), (w("a"), w("bab")), AB)),
+            (wreath, lambda: wreath.three_palindrome_decomposition(wreath.evaluate(w("ab")))),
+            (wreath, lambda: wreath.palindrome_witness(wreath.evaluate(w("aba")))),
+            (baumslag, lambda: baumslag.two_palindrome_decomposition(
+                baumslag.evaluate(parse("t a", AT), 2))),
+            (heisenberg, lambda: heisenberg.two_palindrome_product(
+                heisenberg.evaluate(w("a b a b")))),
+            (search, lambda: search.pal_length_bounded(
+                wreath.evaluator(), wreath.evaluate(w("ab")), 2, 1)),
+        ],
+        ids=["conjugate", "commutator", "wreath-three", "wreath-palindrome",
+             "bs-two", "heis-two", "search"],
+    )
+    def test_a_dropped_last_factor_is_an_invalid_certificate(self, monkeypatch, module, build):
+        build()  # a sound answer passes
+        monkeypatch.setattr(module, "PalindromicDecomposition", dropping_the_last_factor)
+        with pytest.raises(SelfCheckError, match="^certificate invalid: "):
+            build()
+
+    def test_a_search_factor_that_is_no_palindrome(self, monkeypatch):
+        monkeypatch.setattr(search._PalProductIndex, "factors", lambda self, k, split: (w("ab"),))
+        message = "^certificate invalid: factor 'a b' is not a palindrome$"
+        with pytest.raises(SelfCheckError, match=message):
+            search.pal_length_bounded(wreath.evaluator(), wreath.evaluate(w("ab")), 2, 1)
+
+    @pytest.mark.parametrize("pals", [(w("a"), w("a")), (w("a"),)], ids=["even", "odd"])
+    def test_a_conjugate_over_its_bound(self, monkeypatch, pals):
+        # k + (k mod 2) is 2 for one palindrome and for two
+        padded = padding_with_a_cancelling_pair
+        monkeypatch.setattr(free_constructions, "PalindromicDecomposition", padded)
+        with pytest.raises(SelfCheckError, match="^certificate has 4 factors, expected <= 2$"):
+            conjugate_decomposition(w("b"), pals, AB)
+
+    def test_a_commutator_over_its_bound(self, monkeypatch):
+        # a sound conjugate with two more factors makes the commutator too long
+        conjugate = conjugate_decomposition
+
+        def padded(u, pals, alphabet):
+            dec = conjugate(u, pals, alphabet)
+            return dec._replace(factors=dec.factors + (w("a"), w("A")))
+
+        monkeypatch.setattr(free_constructions, "conjugate_decomposition", padded)
+        with pytest.raises(SelfCheckError, match="^certificate has 5 factors, expected <= 3$"):
+            commutator_decomposition(w("b"), (w("a"),), AB)

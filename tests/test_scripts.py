@@ -172,3 +172,42 @@ def test_report_shows_a_failed_self_check_as_a_failed_fact(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "[FAIL] pw(Z wr Z) <= 3: verify wreath-decomp --seed 0 --cases 30"
     assert [line[:6] for line in lines[:5]] == ["[PASS]", "[FAIL]", "[PASS]", "[PASS]", "[PASS]"]
+
+
+def test_report_shows_a_failed_search_self_check_as_a_failed_fact(monkeypatch, capsys):
+    # the nilpotent-quotient search runs outside the suites, under the
+    # same rule: its [FAIL] line carries the error, and the later facts print
+    from palwidth import search
+    from palwidth.words import AB, parse
+
+    factors = search._PalProductIndex.factors
+
+    def wrong_last_factor(self, k, split):
+        return factors(self, k, split)[:-1] + (parse("a b", AB),)
+
+    module = load_script(monkeypatch, "width_report.py", "--cases", "30")
+    monkeypatch.setattr(search._PalProductIndex, "factors", wrong_last_factor)
+    assert module.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == ("[FAIL] pw(Z wr Z) >= 3 (central obstruction in the quotient): "
+                        "certificate invalid: factor 'a b' is not a palindrome")
+    assert lines[3] == "[PASS] pw(BS(1,n)) <= 2 for n in {2, 3, -2}: verify bs-decomp --seed 0 --cases 30"
+    assert lines[4] == "[PASS] t a has no palindromic word of length <= 13 (bounded evidence)"
+
+
+def test_report_shows_both_failed_searches_as_failed_facts(monkeypatch, capsys):
+    # a self-check failing in every search fails both facts that search
+    from palwidth.palindromes import SelfCheckError
+
+    def failing(*args):
+        raise SelfCheckError("certificate invalid: broken")
+
+    module = load_script(monkeypatch, "width_report.py", "--cases", "30")
+    monkeypatch.setattr(module, "pal_length_bounded", failing)
+    assert module.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == ("[FAIL] pw(Z wr Z) >= 3 (central obstruction in the quotient): "
+                        "certificate invalid: broken")
+    assert lines[3] == "[PASS] pw(BS(1,n)) <= 2 for n in {2, 3, -2}: verify bs-decomp --seed 0 --cases 30"
+    assert lines[4] == ("[FAIL] t a has no palindromic word of length <= 13 (bounded evidence): "
+                        "certificate invalid: broken")

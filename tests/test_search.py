@@ -278,7 +278,7 @@ class TestPalLengthBounded:
         # multiplies, and wrong on the two-letter product it re-verifies
         ev = wreath.evaluator()
         liar = dataclasses.replace(ev, eval=lambda u: ev.eval(u if len(u) <= 1 else EMPTY))
-        with pytest.raises(SelfCheckError, match="failed re-verification"):
+        with pytest.raises(SelfCheckError, match="target does not evaluate to the element"):
             pal_length_bounded(liar, wreath.evaluate(w("ab")), 2, 1)
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from strategies import dropping_the_last_factor
+from strategies import dropping_the_last_factor, padding_with_a_cancelling_pair
 
 from palwidth import baumslag, palindromes, wreath
 from palwidth.cli import main
@@ -42,6 +42,8 @@ def test_registry_covers_documented_names():
     [
         (palindromes, "PalindromicDecomposition", dropping_the_last_factor,
          "palrewrite-bounds", "certificate invalid: factor product"),
+        (palindromes, "PalindromicDecomposition", padding_with_a_cancelling_pair,
+         "palrewrite-bounds", "certificate has "),
         (wreath, "commutator_with_b", lambda f: wreath.WreathElement.of([(0, 1)]),
          "wreath-witness", "commutator witness failed re-verification"),
         (wreath, "PalindromicDecomposition", dropping_the_last_factor,
@@ -49,7 +51,7 @@ def test_registry_covers_documented_names():
         (baumslag, "PalindromicDecomposition", dropping_the_last_factor,
          "bs-decomp", "certificate invalid: "),
     ],
-    ids=["palrewrite-bounds", "wreath-witness", "wreath-decomp", "bs-decomp"],
+    ids=["palrewrite-bounds", "palrewrite-bounds-over", "wreath-witness", "wreath-decomp", "bs-decomp"],
 )
 def test_a_failed_self_check_fails_its_suite(monkeypatch, capsys, module, name, broken, suite, message):
     # each constructor checks its answer once; run_suite turns the

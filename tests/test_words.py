@@ -53,6 +53,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("a+b", AB)
 
+    @pytest.mark.parametrize("text", ["a^\u0663b", "a^\u00b2"])
+    def test_exponent_digits_are_ascii(self, text):
+        # str.isdigit accepts the Arabic-Indic three and the superscript two
+        with pytest.raises(ParseError) as exc:
+            parse(text, AB)
+        assert exc.value.position == 1
+
 
 class TestFormat:
     def test_runs(self):
