@@ -26,7 +26,10 @@ The three constructive procedures:
     product of at most three palindromic words. The middle factor carries
     the abelianized a-block at lamp index 1: placing it at index 0 fails
     re-verification whenever the block is nontrivial, because the block
-    sits to the right of b^-1 in the factored word.
+    sits to the right of b^-1 in the factored word. An element whose lamps
+    lie on one side of index 1 is first conjugated by a power of b that
+    brings them over it, so each factor has at most 4 (hi - lo) + 5
+    syllables for lamps from lo to hi, wherever they sit.
   * `palindrome_witness` decides whether an element is the image of a
     palindromic word: since reversal mirrors the support (a_i maps to
     a_-i), the images are the elements whose tail is symmetric under
@@ -253,20 +256,36 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
     string; the two rev(.) blocks cancel in the group because the tail
     subgroup is abelian. Elements whose canonical word is already a
     palindrome are returned as a single factor.
+
+    f runs over the lamp hull [lo, hi] of g joined with index 1, so with
+    every lamp on one side of index 1 it would walk out from index 1 to the
+    farthest lamp. Instead, with j = min(max(1, lo), hi) - 1, the
+    construction runs on b^j g b^-j, whose lamps (each moved by -j) span
+    index 1, and its first two factors P1, P2 become b^-j P1 b^-j and
+    b^j P2 b^j. Those gluings are symmetric, so the factors stay
+    palindromes, and b^(l+1) commutes with b^j, so the product is
+    b^-j (P1 P2 b^(l+1)) b^j = g. Each factor then has at most
+    4 (hi - lo) + 5 syllables. For j = 0 nothing is glued.
     """
     _check_span(g)
     canonical = to_word(g)
     if canonical.is_palindrome():
         factors: tuple[Word, ...] = (canonical,) if canonical else ()
     else:
-        k = sum(e for _, e in g.tail)
-        l = g.shift
-        derived = WreathElement(_merge((), g.tail + ((1, -k),), l), 0)
+        tail, l = g.tail, g.shift
+        k = sum(e for _, e in tail)
+        # the construction for b^j g b^-j, whose lamps (each moved by -j)
+        # run over index 1; j = 0 when the hull of g already does
+        j = min(max(1, tail[0][0]), tail[-1][0]) - 1
+        derived = WreathElement(_merge((), tail + ((1 + j, -k),), l - j), 0)
         f = [(i - l, e) for i, e in _solve_commutator(derived).items()]
         w_pos = support_word(f)
         w_neg = support_word((i, -e) for i, e in f)
         first = w_neg * run_word("b", -1) * w_neg.reverse()
         middle = w_pos.reverse() * run_word("a", k) * w_pos
+        if j:  # g = b^-j (first middle last) b^j, and last commutes with b^j
+            first = run_word("b", -j) * first * run_word("b", -j)
+            middle = run_word("b", j) * middle * run_word("b", j)
         last = run_word("b", l + 1)
         factors = tuple(x for x in (first, middle, last) if x)
     dec = PalindromicDecomposition(canonical, factors, AB)

@@ -39,6 +39,11 @@ CASES = {
         ["decompose", "--group", "wreath", '{"support": {"-3": 1, "203": -2}, "shift": -4}', "--recheck"],
         0,
     ),
+    # one lamp far from index 1: the certificate is sized by the lamp hull
+    "decompose_wreath_one_sided_far_lamp_recheck": (
+        ["decompose", "--group", "wreath", '{"support": {"20000": 1}, "shift": 0}', "--recheck"],
+        0,
+    ),
     "witness": (["witness", '{"support": {"0": -1, "1": 1}, "shift": 0}'], 0),
     "verify_wreath_hom": (["verify", "wreath-hom", "--cases", "50"], 0),
     "explore_wreath_ball": (["explore", "--group", "wreath", "--radius", "3"], 0),

@@ -164,7 +164,8 @@ class TestGroupCertificate:
     constructors, over Z wr Z."""
 
     def test_evaluates_product_and_target_once_each(self, monkeypatch):
-        # the decomposition evaluates nothing but its one self-check
+        # the decomposition evaluates nothing but its one self-check: the
+        # target, then the factor product unless it is the target word
         calls = []
         original = wreath.evaluate
 
@@ -173,9 +174,12 @@ class TestGroupCertificate:
             return original(word)
 
         monkeypatch.setattr(wreath, "evaluate", counting)
-        g = wreath.WreathElement.of([(-20100, 2)], -4)
+        g = wreath.WreathElement.of([(-20100, 2), (-20090, -1)], -4)
         wreath.three_palindrome_decomposition(g)
         assert len(calls) == 2
+        calls.clear()
+        wreath.three_palindrome_decomposition(wreath.WreathElement.of([(-20100, 2)], -4))
+        assert len(calls) == 1
 
     def test_wrong_product(self):
         dec = PalindromicDecomposition(w("ab"), (w("a"), w("b"), w("a")), AB)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from strategies import palindromes, words
 
 from palwidth import search
+from palwidth.cli import certificate_json, recheck_certificate
 from palwidth.heisenberg import from_wreath
 from palwidth.palindromes import check_in_group
 from palwidth.search import BudgetExceeded, enumerate_palindromes
@@ -297,6 +298,26 @@ class TestThreePalindromes:
         assert dec.length <= 3
         check_in_group(dec, evaluate)
         assert evaluate(dec.target) == g
+
+    @given(st.integers(-50_000, 50_000),
+           st.dictionaries(st.integers(0, 12), st.integers(-5, 5).filter(bool), min_size=1,
+                           max_size=6),
+           st.integers(-9, 9))
+    def test_factors_grow_with_the_lamp_hull_only(self, offset, window, shift):
+        # wherever the lamps sit, each factor has at most 4 (hi - lo) + 5
+        # syllables, hi and lo the outermost lamp indices
+        g = elem({offset + i: e for i, e in window.items()}, shift)
+        dec = three_palindrome_decomposition(g)
+        bound = 4 * (max(window) - min(window)) + 5
+        assert all(len(f.syllables) <= bound for f in dec.factors), dec.factors
+        assert check_in_group(dec, evaluate) == g
+
+    def test_far_lamps_give_a_small_certificate(self):
+        doc = {"support": {"99980": -3, "99990": 1}, "shift": 3}
+        dec = three_palindrome_decomposition(WreathElement.from_json(doc))
+        text = json.dumps(certificate_json("wreath", dec, doc), sort_keys=True, indent=2)
+        assert len(text) < 1024
+        assert recheck_certificate(json.loads(text))
 
 
 # Shortlex words of the radius-6 ball elements that are not palindrome
