@@ -286,7 +286,10 @@ def run(work) -> int:
             raise
         # str() of a one-argument KeyError quotes its message
         message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
-        _print_stderr(f"error: {message}")
+        line = f"error: {message}"
+        if len(line) > 200:  # an input echoed whole: keep both ends, so the reason survives
+            line = f"{line[:80]}...({len(line) - 160} characters)...{line[-80:]}"
+        _print_stderr(line)
         return code
 
 

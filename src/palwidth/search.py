@@ -45,10 +45,13 @@ class BudgetExceeded(RuntimeError):
         self.completed = completed
 
 
-# The largest lamp span plus |shift| of a Z wr Z element, and the largest
-# total |t|-exponent of a BS(1, n) word or normal form, that the certificate
-# and witness routines accept. Their work grows with these numbers (a loop
-# over the lamps, a power n^k), not with the length of the input text.
+# The largest lamp hull hi - lo of a Z wr Z element (lamps from lo to hi;
+# index 0 and the shift do not count), and the largest total |t|-exponent
+# of a BS(1, n) word or normal form, that the certificate and witness
+# routines accept. Their work grows with these numbers (a loop over the
+# lamps, a power n^k), not with the length of the input text. A lamp index
+# or shift far from 0 costs only its digits, which the interpreter's
+# integer-string limit bounds (`MAX_DIGITS` on the command line).
 MAX_INPUT_SPAN = 100_000
 
 

@@ -206,12 +206,11 @@ def commutator_with_b(f: dict[int, int]) -> WreathElement:
 
 
 def _check_span(g: WreathElement) -> None:
-    """Raise BudgetExceeded when the lamps of g, with index 0, span more
-    than the input cap once |shift| is added."""
-    tail = g.tail
-    lo = min(0, tail[0][0]) if tail else 0
-    hi = max(0, tail[-1][0]) if tail else 0
-    check_input_span(hi - lo + abs(g.shift), "lamp span plus |shift|")
+    """Raise BudgetExceeded when the lamp hull hi - lo of g, for lamps from
+    lo to hi, is over the input cap. Index 0 and the shift do not count: no
+    routine walks from index 0 or along the shift, since b^shift and the
+    conjugator b^j of `three_palindrome_decomposition` are one syllable each."""
+    check_input_span(g.tail[-1][0] - g.tail[0][0] if g.tail else 0, "lamp hull")
 
 
 def commutator_witness(g: WreathElement) -> dict[int, int]:

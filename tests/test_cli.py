@@ -543,6 +543,32 @@ def test_a_closed_stderr_keeps_the_exit_code_and_stdout(argv, code):
         assert run_with_stderr(argv, stderr) == expected, stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code, reason",
+    [
+        (["witness", '{"support": {"0": 1, "1' + "0" * 99_990 + '": -1}, "shift": 0}'], 3,
+         ", over the input cap of 100000"),
+        (["witness", '{"support": {"0' + "1" * 99_990 + '": 1}, "shift": 0}'], 2,
+         "' is not a canonical decimal index"),
+        (["witness", '{"support": {"' + "1" * 99_990 + '": 0}, "shift": 0}'], 2,
+         "' must be a nonzero integer"),
+        (["decompose", "--group", "x" * 100_000, "a"], 2, "' (expected wreath, heis or bs:N)"),
+        (["decompose", "--group", "bs:1" + "0" * 5000 + "x", "a"], 2, "x' (expected bs:N)"),
+        (["decompose", "--group", "bs:3", '{"num": 1, "den_exp": 0, "dil": 0, "n": ' + "1" * 5000 + "}"],
+         2, ", group is bs:3"),
+    ],
+    ids=["lamp-hull", "non-canonical-key", "zero-entry", "unknown-group", "bad-parameter",
+         "other-n"],
+)
+def test_an_error_line_does_not_grow_with_its_input(capsys, argv, code, reason):
+    # each line echoed its input whole (5 kB to 100 kB); the cut keeps both
+    # ends, so the reason at the end survives
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith("error: ") and err.endswith(reason + "\n")
+    assert "characters)..." in err and len(err.encode()) < 200
+
+
 class TestInputCap:
     @pytest.mark.parametrize(
         "group, text, factor, num",
@@ -563,13 +589,15 @@ class TestInputCap:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["decompose", "--group", "wreath", '{"support": {"100000000": 1}, "shift": 0}'],
+            ["decompose", "--group", "wreath", '{"support": {"0": 1, "100000000": 1}, "shift": 0}'],
             ["witness", '{"support": {"0": 1, "100000000": -1}, "shift": 0}'],
             ["decompose", "--group", "bs:3", "t^-100000000 a t^100000000"],
             ["decompose", "--group", "bs:3", '{"num": 1, "den_exp": 0, "dil": -100000000, "n": 3}'],
             # reducing 10^99990 / 10^(10^9) strips 99,990 factors of 10 first
             ["decompose", "--group", "bs:10",
              '{"num": 1' + "0" * 99_990 + ', "den_exp": 1000000000, "dil": 0, "n": 10}'],
+            # a lamp hull of 100,001, one over the cap
+            ["witness", '{"support": {"0": 1, "100001": -1}, "shift": 0}'],
         ],
     )
     def test_oversized_work_exits_with_the_budget_code(self, argv):
@@ -610,6 +638,20 @@ class TestInputCap:
         assert seconds < 5
         assert proc.stdout == ""
         assert "more than 100000 decimal digits, over the digit cap" in proc.stderr
+
+    def test_far_lamps_with_a_narrow_hull_certify(self):
+        # 100,001 from index 0, but a hull of 0 and 1: both certificates are short
+        proc, seconds = run_capped(
+            "decompose", "--group", "wreath", '{"support": {"100001": 1}, "shift": 0}', "--recheck"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert seconds < 5
+        assert len(proc.stdout.encode()) < 400
+        assert recheck_certificate(json.loads(proc.stdout))
+        proc, seconds = run_capped("witness", '{"support": {"100001": 1, "100002": -1}, "shift": 0}')
+        assert proc.returncode == 0, proc.stderr
+        assert seconds < 5
+        assert json.loads(proc.stdout)["witness"] == {"support": {"100001": -1}}
 
     def test_huge_group_parameter_exits_with_the_budget_code(self):
         # n^50000 for a 1,000-digit n would have 5 * 10^7 digits; the power
@@ -658,11 +700,11 @@ class TestInputCap:
     @pytest.mark.parametrize(
         "argv, code",
         [
-            # lamps from -10 to 25 (index 0 included) plus |shift| 5
+            # the lamp hull hi - lo: index 0 and the shift do not count
             (["decompose", "--group", "wreath", '{"support": {"-10": 1, "25": 2}, "shift": 5}'], 0),
-            (["decompose", "--group", "wreath", '{"support": {"-10": 1, "25": 2}, "shift": -6}'], 3),
+            (["decompose", "--group", "wreath", '{"support": {"-10": 1, "31": 2}, "shift": -6}'], 3),
             (["decompose", "--group", "wreath", '{"support": {"3": 1}, "shift": 0}'], 0),
-            (["decompose", "--group", "wreath", "b^-41 a b^41"], 3),
+            (["decompose", "--group", "wreath", "a b^-41 a b^41"], 3),
             (["witness", '{"support": {"-10": 1, "30": -1}, "shift": 0}'], 0),
             (["witness", '{"support": {"-10": 1, "31": -1}, "shift": 0}'], 3),
             # total |t|-exponent of the word, and of a literal's normal form
@@ -671,6 +713,9 @@ class TestInputCap:
             (["decompose", "--group", "bs:2", '{"num": 1, "den_exp": 0, "dil": -40, "n": 2}', "--recheck"], 0),
             (["decompose", "--group", "bs:2", '{"num": 1, "den_exp": 0, "dil": -41, "n": 2}'], 3),
             (["decompose", "--group", "bs:2", '{"num": 1, "den_exp": 20, "dil": 1, "n": 2}'], 3),
+            # one lamp at 41, and a hull of 40 far along the shift
+            (["decompose", "--group", "wreath", "b^-41 a b^41"], 0),
+            (["decompose", "--group", "wreath", '{"support": {"-10": 1, "30": 2}, "shift": 1000}'], 0),
         ],
     )
     def test_cap_boundary(self, monkeypatch, capsys, argv, code):

@@ -44,7 +44,13 @@ CASES = {
         ["decompose", "--group", "wreath", '{"support": {"20000": 1}, "shift": 0}', "--recheck"],
         0,
     ),
+    # past the input cap from index 0, but the cap is the lamp hull alone
+    "decompose_wreath_far_single_lamp_recheck": (
+        ["decompose", "--group", "wreath", '{"support": {"100001": 1}, "shift": 0}', "--recheck"],
+        0,
+    ),
     "witness": (["witness", '{"support": {"0": -1, "1": 1}, "shift": 0}'], 0),
+    "witness_far_pair": (["witness", '{"support": {"100001": 1, "100002": -1}, "shift": 0}'], 0),
     "verify_wreath_hom": (["verify", "wreath-hom", "--cases", "50"], 0),
     "explore_wreath_ball": (["explore", "--group", "wreath", "--radius", "3"], 0),
     "explore_heis_ball": (["explore", "--group", "heis", "--radius", "3"], 0),

@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from strategies import palindromes, words
 
@@ -38,6 +38,18 @@ def w(text):
 
 def elem(support, shift=0):
     return WreathElement.of(support.items(), shift)
+
+
+def trips_at_the_hull(routine, g):
+    """`routine(g)`, run with the input cap at g's lamp hull hi - lo; with
+    the cap one lower it must raise BudgetExceeded."""
+    hull = g.tail[-1][0] - g.tail[0][0]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "MAX_INPUT_SPAN", hull - 1)
+        with pytest.raises(BudgetExceeded):
+            routine(g)
+        m.setattr(search, "MAX_INPUT_SPAN", hull)
+        return routine(g)
 
 
 def is_canonical(tail):
@@ -434,22 +446,38 @@ class TestClassify:
             capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
         )
         assert time.perf_counter() - start < 5
-        assert "BudgetExceeded: lamp span plus |shift| is 100000001" in proc.stderr
+        assert "BudgetExceeded: lamp hull is 100000000" in proc.stderr
 
     @given(p=palindromes(max_half=6))
-    def test_cap_is_the_lamp_span_plus_shift(self, p):
+    def test_cap_is_the_lamp_hull(self, p):
         # the witness of an element at the cap is the uncapped one
         g = evaluate(p)
+        assume(g.tail)
         witness = palindrome_witness(g)
-        lo = min([0] + [i for i, _ in g.tail])
-        hi = max([0] + [i for i, _ in g.tail])
-        span = hi - lo + abs(g.shift)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(search, "MAX_INPUT_SPAN", span)
-            assert palindrome_witness(g) == witness
-            m.setattr(search, "MAX_INPUT_SPAN", span - 1)
-            with pytest.raises(BudgetExceeded):
-                palindrome_witness(g)
+        assert trips_at_the_hull(palindrome_witness, g) == witness
+
+
+def window(width):
+    """Lamp maps with nonzero exponents at some of the indices 0..width."""
+    exponents = st.integers(-10**9, 10**9).filter(bool)
+    return st.dictionaries(st.integers(0, width), exponents, min_size=1)
+
+
+# translations and shifts: the cap sees the lamp hull alone, wherever it sits
+FAR = st.integers(-10**9, 10**9)
+
+
+class TestInputCap:
+    @given(lamps=window(12), offset=FAR, shift=FAR)
+    def test_decomposition_cap_is_the_lamp_hull(self, lamps, offset, shift):
+        g = WreathElement.of(((i + offset, e) for i, e in lamps.items()), shift)
+        trips_at_the_hull(three_palindrome_decomposition, g)
+
+    @given(f=window(11), offset=FAR)
+    def test_witness_cap_is_the_lamp_hull(self, f, offset):
+        # [f, b] for f on the indices 0..11 has its lamps in 0..12
+        g = commutator_with_b({i + offset: e for i, e in f.items()})
+        trips_at_the_hull(commutator_witness, g)
 
 
 class TestJson:
