@@ -50,8 +50,9 @@ class BudgetExceeded(RuntimeError):
 # of a BS(1, n) word or normal form, that the certificate and witness
 # routines accept. Their work grows with these numbers (a loop over the
 # lamps, a power n^k), not with the length of the input text. A lamp index
-# or shift far from 0 costs only its digits, which the interpreter's
-# integer-string limit bounds (`MAX_DIGITS` on the command line).
+# or shift far from 0 costs its digits a few times, not once per lamp of
+# the hull; only the commutator witness, which lists up to hi - lo indices
+# as wide as the lamps, counts the hull once per 64 bits of its index.
 MAX_INPUT_SPAN = 100_000
 
 

@@ -153,10 +153,15 @@ class WreathElement(NamedTuple):
 def evaluate(w: Word) -> WreathElement:
     """Image of a word over {a, b} under a -> unit lamp at 0, b -> shift 1."""
     # accumulates in place rather than collecting pairs for `_merge`: a
-    # second pass over every a-syllable doubled the cost on long words
+    # second pass over every a-syllable doubled the cost on long words.
+    # Lamps are keyed from the end of a leading b-syllable, which is added
+    # back once at the end: a word that travels far once (a certificate
+    # factor b^-j P b^-j) then keys its lamps near 0, not near j
+    syllables = w.syllables
+    base = syllables[0][1] if syllables and syllables[0][0] == "b" else 0
     tail: dict[int, int] = {}
-    shift = 0
-    for gen, exp in w.syllables:
+    shift = -base
+    for gen, exp in syllables:
         if gen == "a":
             i = -shift
             v = tail.get(i, 0) + exp
@@ -168,7 +173,10 @@ def evaluate(w: Word) -> WreathElement:
             shift += exp
         else:
             raise ValueError(f"word is not over the alphabet {{a, b}}: {gen!r}")
-    return WreathElement(tuple(sorted(tail.items())), shift)
+    lamps = sorted(tail.items())
+    if base:
+        lamps = [(i - base, e) for i, e in lamps]
+    return WreathElement(tuple(lamps), shift + base)
 
 
 def reversal_image(g: WreathElement) -> WreathElement:
@@ -209,8 +217,19 @@ def _check_span(g: WreathElement) -> None:
     """Raise BudgetExceeded when the lamp hull hi - lo of g, for lamps from
     lo to hi, is over the input cap. Index 0 and the shift do not count: no
     routine walks from index 0 or along the shift, since b^shift and the
-    conjugator b^j of `three_palindrome_decomposition` are one syllable each."""
+    conjugator b^j of `three_palindrome_decomposition` are one syllable each
+    and `evaluate` keys the lamps of b^-j P b^-j near 0."""
     check_input_span(g.tail[-1][0] - g.tail[0][0] if g.tail else 0, "lamp hull")
+
+
+def _check_witness_width(g: WreathElement) -> None:
+    """Raise BudgetExceeded when the commutator witness of g, up to hi - lo
+    indices each as wide as g's farthest lamp, is over the input cap in
+    64-bit words. While every index fits in one word this is `_check_span`."""
+    if g.tail:
+        lo, hi = g.tail[0][0], g.tail[-1][0]
+        words = -(-max(-lo, hi).bit_length() // 64)
+        check_input_span((hi - lo) * words, "lamp hull times 64-bit words per index")
 
 
 def commutator_witness(g: WreathElement) -> dict[int, int]:
@@ -226,6 +245,7 @@ def commutator_witness(g: WreathElement) -> dict[int, int]:
             "element is not in the derived subgroup (needs shift 0 and exponent sum 0)"
         )
     _check_span(g)
+    _check_witness_width(g)
     f = _solve_commutator(g)
     if commutator_with_b(f) != g:
         raise SelfCheckError("commutator witness failed re-verification")
@@ -276,8 +296,8 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
         # the construction for b^j g b^-j, whose lamps (each moved by -j)
         # run over index 1; j = 0 when the hull of g already does
         j = min(max(1, tail[0][0]), tail[-1][0]) - 1
-        derived = WreathElement(_merge((), tail + ((1 + j, -k),), l - j), 0)
-        f = [(i - l, e) for i, e in _solve_commutator(derived).items()]
+        derived = WreathElement(_merge((), tail + ((1 + j, -k),), -j), 0)
+        f = list(_solve_commutator(derived).items())
         w_pos = support_word(f)
         w_neg = support_word((i, -e) for i, e in f)
         first = w_neg * run_word("b", -1) * w_neg.reverse()

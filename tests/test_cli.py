@@ -161,6 +161,14 @@ class TestVerify:
         for name in suites.available_suites():
             assert name in err
 
+    @pytest.mark.parametrize("name", ["y" * 30, "\x01" * 100_000])
+    def test_a_long_unknown_suite_keeps_the_whole_list(self, capsys, name):
+        # the echoed name is cut, not the list, and the line stays short
+        code, _, err = run(capsys, "verify", name)
+        assert code == 2 and err.startswith("error: unknown suite ")
+        assert err.endswith("; known: " + ", ".join(suites.available_suites()) + "\n")
+        assert "characters)..." not in err and len(err.encode()) < 200
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "heis-quotient", "--seed", "5", "--cases", "150")
         _, out2, _ = run(capsys, "verify", "heis-quotient", "--seed", "5", "--cases", "150")
@@ -652,6 +660,36 @@ class TestInputCap:
         assert proc.returncode == 0, proc.stderr
         assert seconds < 5
         assert json.loads(proc.stdout)["witness"] == {"support": {"100001": -1}}
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            # a 50,001-digit shift
+            '{"support": {"0": 1, "100000": -1}, "shift": 1' + "0" * 50_000 + "}",
+            # lamps at 10^49999 and 10^49999 + 100,000
+            '{"support": {"1' + "0" * 49_999 + '": 1, "1' + "0" * 49_993 + '100000": -1}, "shift": 0}',
+        ],
+        ids=["far-shift", "far-hull"],
+    )
+    def test_a_hull_at_the_cap_certifies_wherever_it_sits(self, literal):
+        # a certificate at the hull cap holds 100,000 lamps, each keyed near 0
+        # and not near the shift or the far lamps: fast, and within 1 GiB
+        proc, seconds = run_capped("decompose", "--group", "wreath", literal, "--recheck")
+        assert proc.returncode == 0, proc.stderr[-1000:]
+        assert seconds < 10
+        assert '"verified": true' in proc.stdout
+
+    def test_a_far_witness_counts_its_index_words(self):
+        # the witness of lamps at 10^49999 and 10^49999 + 100,000 would list
+        # 100,000 indices of 50,000 digits each: refused before any is made
+        literal = '{"support": {"1' + "0" * 49_999 + '": 1, "1' + "0" * 49_993 + '100000": -1}, "shift": 0}'
+        proc, seconds = run_capped("witness", literal)
+        assert proc.returncode == 3, proc.stderr[-1000:]
+        assert seconds < 5
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: lamp hull times 64-bit words per index is 259600000, over the input cap of 100000\n"
+        )
 
     def test_huge_group_parameter_exits_with_the_budget_code(self):
         # n^50000 for a 1,000-digit n would have 5 * 10^7 digits; the power

@@ -40,15 +40,15 @@ def elem(support, shift=0):
     return WreathElement.of(support.items(), shift)
 
 
-def trips_at_the_hull(routine, g):
-    """`routine(g)`, run with the input cap at g's lamp hull hi - lo; with
-    the cap one lower it must raise BudgetExceeded."""
-    hull = g.tail[-1][0] - g.tail[0][0]
+def trips_at_the_hull(routine, g, words=1):
+    """`routine(g)`, run with the input cap at g's lamp hull hi - lo times
+    `words`; with the cap one lower it must raise BudgetExceeded."""
+    size = (g.tail[-1][0] - g.tail[0][0]) * words
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "MAX_INPUT_SPAN", hull - 1)
+        m.setattr(search, "MAX_INPUT_SPAN", size - 1)
         with pytest.raises(BudgetExceeded):
             routine(g)
-        m.setattr(search, "MAX_INPUT_SPAN", hull)
+        m.setattr(search, "MAX_INPUT_SPAN", size)
         return routine(g)
 
 
@@ -190,6 +190,13 @@ class TestEvaluate:
     @given(words(AB, 12))
     def test_reversal_antiautomorphism(self, u):
         assert evaluate(u.reverse()) == reversal_image(evaluate(u))
+
+    @given(st.integers(-10**40, 10**40), words(AB, 12), st.integers(-10**40, 10**40))
+    def test_far_travel_around_a_word(self, k, u, m):
+        # a leading b-syllable is kept out of the lamp keys and added back
+        # at the end; the value is the product all the same
+        word = run_word("b", k) * u * run_word("b", m)
+        assert evaluate(word) == elem({}, k) * evaluate(u) * elem({}, m)
 
     @given(st.integers(-4, 4), st.integers(-3, 3))
     def test_conjugation_coherence(self, index, k):
@@ -463,8 +470,14 @@ def window(width):
     return st.dictionaries(st.integers(0, width), exponents, min_size=1)
 
 
-# translations and shifts: the cap sees the lamp hull alone, wherever it sits
-FAR = st.integers(-10**9, 10**9)
+# translations and shifts, near and far past 2^64: the decomposition cap
+# sees the lamp hull alone, wherever it sits
+FAR = st.integers(-10**9, 10**9) | st.integers(-10**400, 10**400)
+
+
+def index_words(g):
+    """64-bit words in g's farthest lamp index, at least 1."""
+    return max(1, -(-max(-g.tail[0][0], g.tail[-1][0]).bit_length() // 64))
 
 
 class TestInputCap:
@@ -474,10 +487,15 @@ class TestInputCap:
         trips_at_the_hull(three_palindrome_decomposition, g)
 
     @given(f=window(11), offset=FAR)
-    def test_witness_cap_is_the_lamp_hull(self, f, offset):
-        # [f, b] for f on the indices 0..11 has its lamps in 0..12
+    def test_witness_cap_is_the_lamp_hull_in_index_words(self, f, offset):
+        # [f, b] for f on the indices 0..11 has its lamps in 0..12; the
+        # witness lists up to that many indices, each as wide as g's
         g = commutator_with_b({i + offset: e for i, e in f.items()})
-        trips_at_the_hull(commutator_witness, g)
+        witness = trips_at_the_hull(commutator_witness, g, index_words(g))
+        assert commutator_with_b(witness) == g
+
+    def test_index_words(self):
+        assert [index_words(elem({i: 1})) for i in (0, 1, 2**64 - 1, 2**64, -(2**128))] == [1, 1, 1, 2, 3]
 
 
 class TestJson:
