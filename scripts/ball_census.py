@@ -6,14 +6,13 @@ Example:
     python3 scripts/ball_census.py --group wreath --radius 5 --max-len 6 --max-factors 3
 """
 
-import argparse
 import sys
 from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from palwidth.cli import lookup_group, run, wants_histogram
+from palwidth.cli import ArgumentParser, lookup_group, run, wants_histogram
 from palwidth.search import DEFAULT_BUDGET, ball_table, check_bounds, pal_length_histogram_of
 
 
@@ -44,7 +43,7 @@ def census(ev, args) -> None:
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--group", default="heis")
     parser.add_argument("--radius", type=int, default=5)
     parser.add_argument("--max-len", type=int, default=None)

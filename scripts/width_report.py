@@ -10,7 +10,6 @@ fails its own self-check prints as [FAIL] with the error, and the later
 facts still print.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -52,7 +51,7 @@ def ta_unreached():
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cases", type=int, default=2000)
     args = parser.parse_args()

@@ -228,7 +228,6 @@ def evaluator(n: int) -> Evaluator:
         return element
 
     return Evaluator(
-        label=f"bs:{n}",
         alphabet=AT,
         eval=lambda w: evaluate(w, n),
         mul=operator.mul,

@@ -73,7 +73,7 @@ def _unique_keys(pairs: list) -> dict:
 def _read_element(group: Evaluator, text: str):
     """An element of `group` given as a JSON element literal or as word text."""
     text = text.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         return group.decode(json.loads(text, object_pairs_hook=_unique_keys))
     return group.eval(parse(text, group.alphabet))
 
@@ -130,8 +130,6 @@ def _emit(args, payload: str) -> None:
 
 def cmd_decompose(args) -> int:
     group = lookup_group(args.group)
-    if group.decompose is None:
-        raise ValueError(f"no decomposition routine for group {args.group!r}")
     element = _read_element(group, args.element)
     doc = certificate_json(args.group, group.decompose(element), element.to_json())
     payload = json.dumps(doc, sort_keys=True, indent=2)
@@ -211,8 +209,18 @@ def cmd_explore(args) -> int:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors go through `run`: its own
+    error() would print a usage block and the message whole (an input it
+    echoes too) and exit, so this one raises the message as a ValueError,
+    for one cut `error:` line and exit code 2."""
+
+    def error(self, message: str):
+        raise ValueError(f"{message} (see {self.prog} --help)")
+
+
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="palwidth",
         description="Exact palindromic-width computations in Z wr Z, BS(1,n) and "
         "the rank-2 free nilpotent group.",
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="palindromic factorization certificate")
-    p.add_argument("--group", required=True, help="wreath or bs:N")
+    p.add_argument("--group", required=True, help="wreath, heis or bs:N")
     p.add_argument("element", help="word text or a JSON element literal")
     p.add_argument("--out", help="also write the certificate JSON to a file")
     p.add_argument("--recheck", action="store_true", help="re-verify the certificate on reload")
@@ -298,9 +306,9 @@ def main(argv=None) -> int:
     # interpreters before 3.10.7 have no limit to raise
     if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < MAX_DIGITS:
         sys.set_int_max_str_digits(MAX_DIGITS)
-    args = build_parser().parse_args(argv)
 
     def work() -> int:
+        args = build_parser().parse_args(argv)
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.func(args)

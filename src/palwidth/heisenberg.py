@@ -7,7 +7,10 @@ encodes ba = ab[b,a]. The 3x3 unitriangular integer-matrix model lives in
 
 The quotient map from the wreath product sends the lamp generator a_i to
 (1, 0, -i) and the shift generator to (0, 1, 0); it agrees letterwise with
-`evaluate` here.
+`evaluate` here. It carries every Z wr Z certificate down, since a
+palindromic word maps to the same palindromic word, so
+`three_palindrome_decomposition` certifies (x, y, z) by a lift with lamps
+x + z at index 0 and -z at index 1 and shift y.
 
 `HeisElement` is a plain tuple-backed record (a NamedTuple): its tuple
 equality and hash are group equality, and its `str` is the JSON literal
@@ -26,6 +29,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
+from . import wreath
 from .palindromes import PalindromicDecomposition, check_group_certificate
 from .search import Evaluator
 from .words import AB, EMPTY, Word, run_word
@@ -163,14 +167,24 @@ def two_palindrome_product(h: HeisElement) -> tuple[Word, Word] | None:
     return None
 
 
+def three_palindrome_decomposition(h: HeisElement) -> PalindromicDecomposition:
+    """Certificate with at most three palindromic factors multiplying to h:
+    the Z wr Z certificate of the lift a_0^(x+z) a_1^-z b^y, whose image
+    under `from_wreath` is h. The quotient agrees letterwise with
+    `evaluate`, so the same words multiply to h here."""
+    x, y, z = h
+    dec = wreath.three_palindrome_decomposition(WreathElement.of(((0, x + z), (1, -z)), y))
+    check_group_certificate(dec, evaluate, h, 3)
+    return dec
+
+
 def evaluator() -> Evaluator:
-    """The group record of N_{2,2}, which has no certificate routine."""
+    """The group record of N_{2,2}."""
     return Evaluator(
-        label="heis",
         alphabet=AB,
         eval=evaluate,
         mul=operator.mul,
         inv=HeisElement.inverse,
         decode=HeisElement.from_json,
-        decompose=None,
+        decompose=three_palindrome_decomposition,
     )

@@ -2,11 +2,10 @@
 tabulation, and bounded palindromic-length search.
 
 Everything is parameterized by an `Evaluator`, the one record that
-defines a group: a label, an alphabet, an exact evaluation map from
-reduced words to canonical, hashable encodings (equal encodings iff equal
-group elements, `str` giving the element literal), `mul`/`inv` on
-encodings, and the JSON codec and certificate routine the command line
-uses.
+defines a group: an alphabet, an exact evaluation map from reduced words
+to canonical, hashable encodings (equal encodings iff equal group
+elements, `str` giving the element literal), `mul`/`inv` on encodings,
+and the JSON codec and certificate routine the command line uses.
 
 `mul` drives both searches. The ball BFS multiplies each frontier
 element by the generator images instead of re-evaluating whole words.
@@ -96,13 +95,12 @@ def check_digits(value: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Evaluator:
-    label: str
     alphabet: Alphabet
     eval: Callable[[Word], Any]
     mul: Callable[[Any, Any], Any]
     inv: Callable[[Any], Any]
     decode: Callable[[Any], Any]  # JSON element literal -> encoding
-    decompose: Callable[[Any], PalindromicDecomposition] | None  # None: no certificates
+    decompose: Callable[[Any], PalindromicDecomposition]
 
 
 def enumerate_reduced_words(alphabet: Alphabet, length: int) -> Iterator[Word]:

@@ -339,7 +339,6 @@ def palindrome_witness(g: WreathElement) -> Word | None:
 def evaluator() -> Evaluator:
     """The group record of Z wr Z."""
     return Evaluator(
-        label="wreath",
         alphabet=AB,
         eval=evaluate,
         mul=operator.mul,

@@ -12,7 +12,7 @@ from palwidth import cli, search, suites
 from palwidth.cli import lookup_group, main, recheck_certificate
 from palwidth.palindromes import check_in_group
 from palwidth.words import AB, AT, parse
-from palwidth import baumslag, wreath
+from palwidth import baumslag, heisenberg, wreath
 
 
 def run(capsys, *argv):
@@ -72,9 +72,18 @@ class TestDecompose:
         code, _, _ = run(capsys, "decompose", "--group", "wreath", "ab", "--recheck")
         assert code == 0
 
-    def test_heis_unsupported(self, capsys):
-        code, _, err = run(capsys, "decompose", "--group", "heis", "ab")
-        assert code == 2 and "no decomposition" in err
+    def test_heis_word(self, capsys):
+        # certified through the lift to Z wr Z
+        code, out, _ = run(capsys, "decompose", "--group", "heis", "ab", "--recheck")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["group"] == "heis" and doc["target"]["element"] == [1, 1, 0]
+        assert doc["length"] <= 3
+        product = heisenberg.HeisElement()
+        for f in (parse(text, AB) for text in doc["factors"]):
+            assert f.is_palindrome()
+            product = product * heisenberg.evaluate(f)
+        assert product == heisenberg.HeisElement(1, 1, 0)
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "decompose", "--group", "wreath", "a c")
@@ -396,8 +405,11 @@ class TestRecheck:
 
 class TestLookupGroup:
     @pytest.mark.parametrize("label", ["wreath", "heis", "bs:3", "bs:-2"])
-    def test_label_round_trips(self, label):
-        assert lookup_group(label).label == label
+    def test_label_round_trips(self, capsys, label):
+        # every group record certifies, and its certificate names the label
+        word = {"wreath": "a b", "heis": "a b"}.get(label, "t a")
+        code, out, _ = run(capsys, "decompose", "--group", label, word, "--recheck")
+        assert code == 0 and json.loads(out)["group"] == label
 
     @pytest.mark.parametrize("label", ["nope", "bs:", "bs:x", "Wreath"])
     def test_bad_label(self, label):
@@ -530,7 +542,7 @@ def run_with_stderr(argv, stderr):
         # exited 1
         (PALWIDTH + ["decompose", "--group", "nope", "a"], 2),  # parent: 1
         (PALWIDTH + ["verify", "bogus"], 2),  # parent: 1
-        (PALWIDTH + ["decompose", "--group", "heis", "a"], 2),  # parent: 1
+        (PALWIDTH + ["explore", "--group", "wreath", "--radius", "x"], 2),
         (PALWIDTH + ["explore", "--group", "heis"], 2),  # parent: 1
         (PALWIDTH + ["explore", "--group", "wreath", "--radius", "30", "--budget", "10"], 3),  # parent: 1
         (PALWIDTH + ["witness", '{"support": {"0": 1}, "shift": 0}'], 1),
@@ -540,7 +552,7 @@ def run_with_stderr(argv, stderr):
         ([sys.executable, str(SCRIPTS / "width_report.py"), "--cases", "100001"], 3),  # parent: 1
         ([sys.executable, str(SCRIPTS / "width_report.py"), "--cases", "0"], 2),
     ],
-    ids=["bad-group", "unknown-suite", "no-certificates", "no-mode", "budget", "not-derived",
+    ids=["bad-group", "unknown-suite", "argparse", "no-mode", "budget", "not-derived",
          "ball-summary", "census-budget", "report-case-cap", "report-no-cases"],
 )
 def test_a_closed_stderr_keeps_the_exit_code_and_stdout(argv, code):
@@ -564,9 +576,12 @@ def test_a_closed_stderr_keeps_the_exit_code_and_stdout(argv, code):
         (["decompose", "--group", "bs:1" + "0" * 5000 + "x", "a"], 2, "x' (expected bs:N)"),
         (["decompose", "--group", "bs:3", '{"num": 1, "den_exp": 0, "dil": 0, "n": ' + "1" * 5000 + "}"],
          2, ", group is bs:3"),
+        # argparse printed its usage block and the value whole (100,253 bytes)
+        (["explore", "--group", "wreath", "--radius", "x" * 100_000], 2,
+         "' (see palwidth explore --help)"),
     ],
     ids=["lamp-hull", "non-canonical-key", "zero-entry", "unknown-group", "bad-parameter",
-         "other-n"],
+         "other-n", "argparse"],
 )
 def test_an_error_line_does_not_grow_with_its_input(capsys, argv, code, reason):
     # each line echoed its input whole (5 kB to 100 kB); the cut keeps both
@@ -575,6 +590,28 @@ def test_an_error_line_does_not_grow_with_its_input(capsys, argv, code, reason):
     assert got == code and out == ""
     assert err.startswith("error: ") and err.endswith(reason + "\n")
     assert "characters)..." in err and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ([], "the following arguments are required: command (see palwidth --help)"),
+        (["explore", "--radius", "3"],
+         "the following arguments are required: --group (see palwidth explore --help)"),
+        (["verify", "bs-hom", "--seed", "x"],
+         "argument --seed: invalid int value: 'x' (see palwidth verify --help)"),
+    ],
+    ids=["no-command", "no-group", "bad-int"],
+)
+def test_argparse_errors_are_one_error_line(capsys, argv, error):
+    assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["explore", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out
 
 
 class TestInputCap:
@@ -675,6 +712,15 @@ class TestInputCap:
         # a certificate at the hull cap holds 100,000 lamps, each keyed near 0
         # and not near the shift or the far lamps: fast, and within 1 GiB
         proc, seconds = run_capped("decompose", "--group", "wreath", literal, "--recheck")
+        assert proc.returncode == 0, proc.stderr[-1000:]
+        assert seconds < 10
+        assert '"verified": true' in proc.stdout
+
+    def test_a_long_central_part_certifies(self):
+        # N_{2,2} certificates lift to lamps x + z at 0 and -z at 1: a
+        # 99,999-digit z makes one hull-1 Z wr Z certificate
+        z = "1" + "0" * 99_998
+        proc, seconds = run_capped("decompose", "--group", "heis", f"[3, -7, {z}]", "--recheck")
         assert proc.returncode == 0, proc.stderr[-1000:]
         assert seconds < 10
         assert '"verified": true' in proc.stdout

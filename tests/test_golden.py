@@ -49,6 +49,9 @@ CASES = {
         ["decompose", "--group", "wreath", '{"support": {"100001": 1}, "shift": 0}', "--recheck"],
         0,
     ),
+    # N_{2,2} certificates come from the Z wr Z lift: lamps x + z at 0, -z at 1
+    "decompose_heis_central_recheck": (["decompose", "--group", "heis", "[0, 0, 1]", "--recheck"], 0),
+    "decompose_heis_word": (["decompose", "--group", "heis", "b a^2 b^-3"], 0),
     "witness": (["witness", '{"support": {"0": -1, "1": 1}, "shift": 0}'], 0),
     "witness_far_pair": (["witness", '{"support": {"100001": 1, "100002": -1}, "shift": 0}'], 0),
     "verify_wreath_hom": (["verify", "wreath-hom", "--cases", "50"], 0),

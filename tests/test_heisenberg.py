@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from strategies import words
 
+from palwidth.cli import certificate_json, recheck_certificate
 from palwidth.heisenberg import (
     HeisElement,
     evaluate,
@@ -13,6 +14,7 @@ from palwidth.heisenberg import (
     is_palindrome_image,
     palindrome_word_for,
     reversal_image,
+    three_palindrome_decomposition,
     two_palindrome_product,
 )
 from palwidth.search import enumerate_palindromes
@@ -28,6 +30,9 @@ def w(text):
 
 coords = st.integers(-40, 40)
 triples = st.builds(HeisElement, coords, coords, coords)
+# zero axes, negatives and central parts up to 10^30
+axes = st.just(0) | st.integers(-10**6, 10**6)
+wide_triples = st.builds(HeisElement, axes, axes, st.just(0) | st.integers(-10**30, 10**30))
 
 
 class TestLaw:
@@ -209,6 +214,44 @@ class TestTwoPalindromeProduct:
             w1, w2 = pair
             assert w1.is_palindrome() and w2.is_palindrome()
             assert evaluate(w1) * evaluate(w2) == h
+
+
+class TestThreePalindromeDecomposition:
+    def test_central_generator(self):
+        dec = three_palindrome_decomposition(HeisElement(0, 0, 1))
+        assert dec.target == w("a b^-1 a^-1 b")
+        assert dec.factors == (w("a b^-1 a"), w("a^-2"), w("b"))
+
+    @given(wide_triples)
+    def test_certifies_every_element(self, h):
+        dec = three_palindrome_decomposition(h)
+        assert len(dec.factors) <= 3
+        product = HeisElement()
+        for f in dec.factors:
+            assert f and f.is_palindrome()
+            product = product * evaluate(f)
+        assert product == h
+        doc = json.loads(json.dumps(certificate_json("heis", dec, h.to_json())))
+        assert recheck_certificate(doc)
+
+    @given(wide_triples, st.data())
+    def test_tampering_is_refused(self, h, data):
+        dec = three_palindrome_decomposition(h)
+        doc = certificate_json("heis", dec, h.to_json())
+        moved = json.loads(json.dumps(doc))
+        moved["target"]["element"][2] += 1
+        assert not recheck_certificate(moved)
+        if dec.factors:
+            # change one exponent of one factor, the centre one so that the
+            # factor stays a palindrome: its product moves off h
+            i = data.draw(st.integers(0, len(dec.factors) - 1))
+            syllables = list(dec.factors[i].syllables)
+            m = len(syllables) // 2
+            gen, e = syllables[m]
+            syllables[m] = (gen, e + 1 or e + 2)
+            changed = json.loads(json.dumps(doc))
+            changed["factors"][i] = " ".join(f"{g}^{x}" for g, x in syllables)
+            assert not recheck_certificate(changed)
 
 
 @given(st.integers(), st.integers(), st.integers())

@@ -52,6 +52,23 @@ def test_census_rejects_an_empty_search(bounds, error):
     assert proc.stderr == f"error: {error}\n"
 
 
+def test_census_usage_error_is_one_cut_line():
+    # argparse printed its usage block and the value whole
+    proc = census("--radius", "x" * 100_000)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: argument --radius: invalid int value: 'x")
+    assert proc.stderr.endswith("' (see ball_census.py --help)\n")
+    assert len(proc.stderr.encode()) < 200
+
+
+@pytest.mark.parametrize("script", ["ball_census.py", "width_report.py"])
+def test_script_help_exits_0(script):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--help"], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: ")
+
+
 @pytest.mark.parametrize("cases, code", [("0", 2), ("-1", 2), ("100001", 3)])
 def test_report_refuses_bad_case_counts(cases, code):
     proc = subprocess.run(

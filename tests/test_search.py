@@ -30,7 +30,11 @@ def w(text):
     return parse(text, AB)
 
 
-GROUPS = (wreath.evaluator(), heisenberg.evaluator(), baumslag.evaluator(2))
+GROUPS = {
+    "wreath": wreath.evaluator(),
+    "heis": heisenberg.evaluator(),
+    "bs:2": baumslag.evaluator(2),
+}
 
 
 def brute_ball(ev, radius):
@@ -149,7 +153,7 @@ class TestBallTable:
         ev = heisenberg.evaluator()
         assert ball_table(ev, 3) == brute_ball(ev, 3)
 
-    @pytest.mark.parametrize("ev", GROUPS, ids=lambda ev: ev.label)
+    @pytest.mark.parametrize("ev", GROUPS.values(), ids=list(GROUPS))
     def test_against_brute_force_oracle_all_groups(self, ev):
         # oracle: minimal length and shortlex-first witness over all reduced words
         table = ball_table(ev, 5)
@@ -236,10 +240,11 @@ class TestPalLengthBounded:
         assert r1 == r2
 
     def test_minimal_k_matches_brute_force_products(self):
-        for ev in (heisenberg.evaluator(), baumslag.evaluator(2)):
+        for label in ("heis", "bs:2"):
+            ev = GROUPS[label]
             least = brute_pal_lengths(ev, 3, 4)
             for enc in ball_table(ev, 3):
-                assert pal_length_bounded(ev, enc, 3, 4).k == least.get(enc), (ev.label, enc)
+                assert pal_length_bounded(ev, enc, 3, 4).k == least.get(enc), (label, enc)
 
     @pytest.mark.parametrize(
         "ev, target, max_len, factors",
@@ -294,7 +299,7 @@ class TestHistogram:
         hist = pal_length_histogram(heisenberg.evaluator(), 3, 3, 6)
         assert hist["unknown"] == 0
 
-    @pytest.mark.parametrize("ev", GROUPS, ids=lambda ev: ev.label)
+    @pytest.mark.parametrize("ev", GROUPS.values(), ids=list(GROUPS))
     def test_against_brute_force_products(self, ev):
         least = brute_pal_lengths(ev, 3, 4)
         for radius in range(5):
@@ -415,7 +420,7 @@ class TestHistogram:
 @pytest.mark.parametrize(
     "ev",
     [wreath.evaluator(), heisenberg.evaluator()] + [baumslag.evaluator(n) for n in (2, 3, -2)],
-    ids=lambda ev: ev.label,
+    ids=["wreath", "heis", "bs:2", "bs:3", "bs:-2"],
 )
 def test_levels_never_shrink(ev, max_len):
     # right multiplication by one palindrome is injective, so level d + 1
