@@ -22,7 +22,8 @@ from .search import (
     BudgetExceeded,
     Evaluator,
     ball_table,
-    pal_length_histogram,
+    check_bounds,
+    pal_length_histogram_of,
     write_ball_csv,
 )
 from .words import parse
@@ -121,19 +122,29 @@ def _check_out(path: str) -> None:
         os.remove(path)
 
 
-def _emit(args, payload: str) -> None:
+def _emit(args, make_doc) -> str:
+    """Print the JSON text of make_doc(), also to the --out file, and return
+    it. Printing refuses a number of more than MAX_DIGITS digits (`main`
+    raises the interpreter's limit to that bound), and such a number,
+    however the work made it, is over the digit cap."""
+    try:
+        payload = json.dumps(make_doc(), sort_keys=True, indent=2)
+    except ValueError:  # str() of such a number; nothing else here raises it
+        raise BudgetExceeded(
+            f"a number to print has more than {MAX_DIGITS} decimal digits, over the digit cap"
+        ) from None
     if getattr(args, "out", None):
         with _open_out(args.out) as fh:
             fh.write(payload + "\n")
     print(payload)
+    return payload
 
 
 def cmd_decompose(args) -> int:
     group = lookup_group(args.group)
     element = _read_element(group, args.element)
-    doc = certificate_json(args.group, group.decompose(element), element.to_json())
-    payload = json.dumps(doc, sort_keys=True, indent=2)
-    _emit(args, payload)
+    dec = group.decompose(element)
+    payload = _emit(args, lambda: certificate_json(args.group, dec, element.to_json()))
     if args.recheck and not recheck_certificate(json.loads(payload)):
         raise CertificateError("certificate failed re-verification on reload")
     return EXIT_OK
@@ -149,7 +160,7 @@ def cmd_witness(args) -> int:
         "matches": True,
         "tool_version": __version__,
     }
-    _emit(args, json.dumps(doc, sort_keys=True, indent=2))
+    _emit(args, lambda: doc)
     return EXIT_OK
 
 
@@ -157,11 +168,11 @@ def cmd_verify(args) -> int:
     from . import suites  # only verify runs the suites, so other calls skip their import
 
     report = suites.run_suite(args.suite, seed=args.seed, cases=args.cases)
-    _emit(args, json.dumps(report.to_json(), sort_keys=True, indent=2))
+    _emit(args, report.to_json)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def wants_histogram(args) -> bool:
+def _wants_histogram(args) -> bool:
     """Whether --max-len and --max-factors ask for a histogram; either one
     alone is a usage error that names the other."""
     if (args.max_len is None) != (args.max_factors is None):
@@ -172,26 +183,21 @@ def wants_histogram(args) -> bool:
 
 def cmd_explore(args) -> int:
     ev = lookup_group(args.group)
-    histogram = wants_histogram(args)
-    if args.radius is not None and not histogram:
-        table = ball_table(ev, args.radius, max_states=args.budget)
-        if args.out:
-            with _open_out(args.out, newline="") as fh:
-                write_ball_csv(table, ev, fh)
-        else:
-            write_ball_csv(table, ev, sys.stdout)
-        summary = {
-            "group": args.group,
-            "radius": args.radius,
-            "elements": len(table),
-            "tool_version": __version__,
-        }
-        _print_stderr(json.dumps(summary, sort_keys=True))
-        return EXIT_OK
+    histogram = _wants_histogram(args)
+    radius = args.radius
     if histogram:
-        radius = args.radius if args.radius is not None else args.max_len
-        hist = pal_length_histogram(
-            ev, radius, args.max_factors, args.max_len, max_states=args.budget
+        check_bounds(args.max_factors, args.max_len)  # usage errors before the ball is built
+        if radius is None:
+            radius = args.max_len
+    elif radius is None:
+        raise ValueError(
+            "pass --radius for a ball table, or --max-len with --max-factors "
+            "for a palindromic-length histogram"
+        )
+    table = ball_table(ev, radius, max_states=args.budget)
+    if histogram:
+        hist = pal_length_histogram_of(
+            ev, table, args.max_factors, args.max_len, max_states=args.budget
         )
         doc = {
             "group": args.group,
@@ -201,12 +207,25 @@ def cmd_explore(args) -> int:
             "histogram": hist,
             "tool_version": __version__,
         }
-        _emit(args, json.dumps(doc, sort_keys=True, indent=2))
-        return EXIT_OK
-    raise ValueError(
-        "pass --radius for a ball table, or --max-len with --max-factors "
-        "for a palindromic-length histogram"
-    )
+        _emit(args, lambda: doc)
+    elif args.out:
+        with _open_out(args.out, newline="") as fh:
+            write_ball_csv(table, ev, fh)
+    else:
+        write_ball_csv(table, ev, sys.stdout)
+    # spheres[r]: the elements at distance exactly r, from the same ball
+    spheres = [0] * (radius + 1)
+    for length, _ in table.values():
+        spheres[length] += 1
+    summary = {
+        "group": args.group,
+        "radius": radius,
+        "elements": len(table),
+        "spheres": spheres,
+        "tool_version": __version__,
+    }
+    _print_stderr(json.dumps(summary, sort_keys=True))
+    return EXIT_OK
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -247,7 +266,14 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--out", help="also write the report JSON to a file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("explore", help="ball tables and palindromic-length histograms")
+    p = sub.add_parser(
+        "explore",
+        help="ball tables and palindromic-length histograms",
+        description="Build the Cayley ball of --radius and print it as CSV, or print "
+        "the bounded palindromic-length histogram over it. Either mode then writes a "
+        'one-line JSON summary to stderr: "elements" in the ball and "spheres", the '
+        "number of elements at each distance 0..radius.",
+    )
     p.add_argument("--group", required=True, help="wreath, heis or bs:N")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--max-len", type=int, default=None, dest="max_len")

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from . import wreath
 from .palindromes import PalindromicDecomposition, check_group_certificate
-from .search import Evaluator
+from .search import Evaluator, check_digits
 from .words import AB, EMPTY, Word, run_word
 from .wreath import WreathElement
 
@@ -85,6 +85,7 @@ def evaluate(w: Word) -> HeisElement:
             y += exp
         else:
             raise ValueError(f"word is not over the alphabet {{a, b}}: {gen!r}")
+    check_digits(z, "z")
     return HeisElement(x, y, z)
 
 
@@ -173,6 +174,7 @@ def three_palindrome_decomposition(h: HeisElement) -> PalindromicDecomposition:
     under `from_wreath` is h. The quotient agrees letterwise with
     `evaluate`, so the same words multiply to h here."""
     x, y, z = h
+    check_digits(x + z, "x + z of the lift")
     dec = wreath.three_palindrome_decomposition(WreathElement.of(((0, x + z), (1, -z)), y))
     check_group_certificate(dec, evaluate, h, 3)
     return dec

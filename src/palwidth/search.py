@@ -61,12 +61,15 @@ def check_input_span(span: int, what: str) -> None:
         raise BudgetExceeded(f"{what} is {span}, over the input cap of {MAX_INPUT_SPAN}")
 
 
-# The most decimal digits a certificate's BS(1, n) a-exponent may have.
-# Under the span cap that exponent has about MAX_INPUT_SPAN * log10|n|
-# digits, so this bound admits |n| < 10 at the cap. `check_digits` refuses
-# longer exponents, since printing takes time quadratic in the digits, and
-# the command line raises the interpreter's integer-string limit (4,300
-# digits by default) to this bound.
+# The most decimal digits a number that a certificate prints may have.
+# Under the span cap a BS(1, n) a-exponent has about MAX_INPUT_SPAN *
+# log10|n| digits, so this bound admits |n| < 10 at the cap. `check_digits`
+# refuses longer numbers where they grow (that exponent, the z of an N_{2,2}
+# word and its lift's x + z, the lamp sums and the last shift of a Z wr Z
+# certificate), since printing takes time quadratic in the digits. The
+# command line raises the interpreter's integer-string limit (4,300 digits
+# by default) to this bound and refuses any other longer number as it is
+# printed.
 MAX_DIGITS = MAX_INPUT_SPAN
 
 

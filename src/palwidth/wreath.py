@@ -43,7 +43,8 @@ from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
-from .search import Evaluator, check_input_span
+from . import search
+from .search import BudgetExceeded, Evaluator, check_digits, check_input_span
 from .words import AB, Word, run_word
 
 
@@ -156,14 +157,25 @@ def evaluate(w: Word) -> WreathElement:
     # second pass over every a-syllable doubled the cost on long words.
     # Lamps are keyed from the end of a leading b-syllable, which is added
     # back once at the end: a word that travels far once (a certificate
-    # factor b^-j P b^-j) then keys its lamps near 0, not near j
+    # factor b^-j P b^-j) then keys its lamps near 0, not near j. The first
+    # lamp is keyed 0, so |key| is its distance from the first lamp, and a
+    # key past twice the input cap (a certificate factor keys its lamps up
+    # to twice its element's hull from the first) is refused before a far
+    # lamp is held, even one that a later letter would cancel
     syllables = w.syllables
     base = syllables[0][1] if syllables and syllables[0][0] == "b" else 0
+    cap = 2 * search.MAX_INPUT_SPAN + 2
+    low = -cap  # negated once, not once per lamp
     tail: dict[int, int] = {}
     shift = -base
     for gen, exp in syllables:
         if gen == "a":
             i = -shift
+            if not low <= i <= cap:
+                raise BudgetExceeded(
+                    f"a lamp of the word is more than {cap} from its first, "
+                    f"over twice the input cap of {search.MAX_INPUT_SPAN}"
+                )
             v = tail.get(i, 0) + exp
             if v:
                 tail[i] = v
@@ -258,6 +270,7 @@ def _solve_commutator(g: WreathElement) -> dict[int, int]:
     acc = 0
     for (i, e), (j, _) in zip(g.tail, g.tail[1:]):
         acc += e
+        check_digits(acc, "a partial lamp sum")
         if acc:
             f.update(dict.fromkeys(range(i, j), -acc))
     return f
@@ -293,6 +306,8 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
     else:
         tail, l = g.tail, g.shift
         k = sum(e for _, e in tail)
+        check_digits(k, "the lamp sum k")
+        check_digits(l + 1, "the shift l + 1")
         # the construction for b^j g b^-j, whose lamps (each moved by -j)
         # run over index 1; j = 0 when the hull of g already does
         j = min(max(1, tail[0][0]), tail[-1][0]) - 1

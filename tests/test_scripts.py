@@ -1,5 +1,7 @@
-"""Smoke tests: the experiment scripts run from any working directory."""
+"""Smoke tests: the experiment script runs from any working directory, and
+the ball census, now `palwidth explore`, keeps its rules."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +15,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize(
     "script, args, facts",
     [
-        ("ball_census.py", ["--group", "bs:2", "--radius", "3", "--max-len", "4", "--max-factors", "2"], 0),
         ("width_report.py", ["--cases", "30"], 5),
     ],
 )
@@ -47,21 +48,21 @@ def test_script_runs_outside_the_repo(tmp_path, script, args, facts):
 )
 def test_census_rejects_an_empty_search(bounds, error):
     # the bounds are checked before the ball is built, so nothing is printed
-    proc = census("--radius", "1", *bounds)
+    proc = census("--group", "heis", "--radius", "1", *bounds)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: {error}\n"
 
 
 def test_census_usage_error_is_one_cut_line():
     # argparse printed its usage block and the value whole
-    proc = census("--radius", "x" * 100_000)
+    proc = census("--group", "heis", "--radius", "x" * 100_000)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: argument --radius: invalid int value: 'x")
-    assert proc.stderr.endswith("' (see ball_census.py --help)\n")
+    assert proc.stderr.endswith("' (see palwidth explore --help)\n")
     assert len(proc.stderr.encode()) < 200
 
 
-@pytest.mark.parametrize("script", ["ball_census.py", "width_report.py"])
+@pytest.mark.parametrize("script", ["width_report.py"])
 def test_script_help_exits_0(script):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), "--help"], capture_output=True, text=True, timeout=60
@@ -101,8 +102,10 @@ def test_report_read_for_one_line_exits_1_without_a_traceback():
 
 
 def census(*args):
+    """`palwidth explore ARGS`, the ball census, in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / "ball_census.py"), *args],
+        [sys.executable, "-m", "palwidth", "explore", *args],
+        env=dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src")),
         capture_output=True,
         text=True,
         timeout=60,
@@ -111,14 +114,17 @@ def census(*args):
 
 @pytest.mark.parametrize("group", ["wreath", "heis", "bs:2"])
 def test_census_rows_match_each_ball(group):
+    # the summary's spheres are the growth table without the running sum
     from palwidth.cli import lookup_group
     from palwidth.search import ball_table
 
     proc = census("--group", group, "--radius", "5")
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[2:]
+    summary = json.loads(proc.stderr)
     ev = lookup_group(group)
-    assert rows == [f"{r},{len(ball_table(ev, r))}" for r in range(6)]
+    sizes = [0] + [len(ball_table(ev, r)) for r in range(6)]
+    assert summary["spheres"] == [b - a for a, b in zip(sizes, sizes[1:])]
+    assert sum(summary["spheres"]) == summary["elements"] == sizes[-1]
 
 
 @pytest.mark.parametrize(
@@ -155,25 +161,25 @@ def load_script(monkeypatch, name, *args):
 
 
 def test_census_builds_one_ball(monkeypatch, capsys):
-    # the histogram runs over the census's own table, not a second search
-    from palwidth import search
-    from palwidth.cli import lookup_group
+    # the histogram runs over the summary's own ball, not a second search
+    from palwidth import cli, search
 
     calls = []
-    ball_table = search.ball_table
 
     def counting_ball_table(*args, **kwargs):
         calls.append(args)
-        return ball_table(*args, **kwargs)
+        return search.ball_table(*args, **kwargs)
 
-    monkeypatch.setattr(search, "ball_table", counting_ball_table)
-    args = ["--group", "heis", "--radius", "6", "--max-len", "4", "--max-factors", "2"]
-    module = load_script(monkeypatch, "ball_census.py", *args)
-    assert module.main() == 0
+    monkeypatch.setattr(cli, "ball_table", counting_ball_table)
+    args = ["explore", "--group", "heis", "--radius", "6", "--max-len", "4", "--max-factors", "2"]
+    assert cli.main(args) == 0
     assert len(calls) == 1
-    rows = capsys.readouterr().out.splitlines()
-    hist = search.pal_length_histogram(lookup_group("heis"), 6, 2, 4)
-    assert rows[-len(hist):] == [f"{k},{v}" for k, v in hist.items()]
+    out, err = capsys.readouterr()
+    hist = search.pal_length_histogram(cli.lookup_group("heis"), 6, 2, 4)
+    assert json.loads(out)["histogram"] == hist
+    summary = json.loads(err)
+    assert summary["elements"] == len(search.ball_table(cli.lookup_group("heis"), 6))
+    assert sum(summary["spheres"]) == summary["elements"]
 
 
 def test_report_shows_a_failed_self_check_as_a_failed_fact(monkeypatch, capsys):

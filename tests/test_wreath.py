@@ -198,6 +198,14 @@ class TestEvaluate:
         word = run_word("b", k) * u * run_word("b", m)
         assert evaluate(word) == elem({}, k) * evaluate(u) * elem({}, m)
 
+    def test_a_lamp_past_twice_the_cap_is_refused(self, monkeypatch):
+        # the first lamp is keyed 0, and a key past 2 cap + 2 is refused as
+        # it is reached, even when a later letter cancels that lamp
+        monkeypatch.setattr(search, "MAX_INPUT_SPAN", 41)
+        assert evaluate(w("a b^-84 a")) == elem({0: 1, 84: 1}, -84)
+        with pytest.raises(BudgetExceeded, match="more than 84 from its first"):
+            evaluate(w("a b^85 a b^-85 a b^85 A"))
+
     @given(st.integers(-4, 4), st.integers(-3, 3))
     def test_conjugation_coherence(self, index, k):
         # words that evaluate into the lamp subgroup shift by +k under b^-k . b^k
