@@ -548,11 +548,14 @@ def run_with_stderr(argv, stderr):
         (PALWIDTH + ["explore", "--group", "wreath", "--radius", "30", "--budget", "10"], 3),  # parent: 1
         (PALWIDTH + ["witness", '{"support": {"0": 1}, "shift": 0}'], 1),
         (PALWIDTH + ["explore", "--group", "heis", "--radius", "2"], 0),  # parent: 1
+        # the ball census, now the histogram mode of `explore`, over its budget
+        (PALWIDTH + ["explore", "--group", "wreath", "--radius", "30", "--budget", "10",
+                     "--max-len", "2", "--max-factors", "1"], 3),  # parent: 1
         ([sys.executable, str(SCRIPTS / "width_report.py"), "--cases", "100001"], 3),  # parent: 1
         ([sys.executable, str(SCRIPTS / "width_report.py"), "--cases", "0"], 2),
     ],
     ids=["bad-group", "unknown-suite", "argparse", "no-mode", "budget", "not-derived",
-         "ball-summary", "report-case-cap", "report-no-cases"],
+         "ball-summary", "census-budget", "report-case-cap", "report-no-cases"],
 )
 def test_a_closed_stderr_keeps_the_exit_code_and_stdout(argv, code):
     # the `explore` ball writes its CSV to stdout and its summary to stderr
