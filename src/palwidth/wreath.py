@@ -23,13 +23,16 @@ The three constructive procedures:
     is a single commutator); f is an {index: exponent} lamp dict in
     ascending index order;
   * `three_palindrome_decomposition` certifies that every element is a
-    product of at most three palindromic words. The middle factor carries
-    the abelianized a-block at lamp index 1: placing it at index 0 fails
-    re-verification whenever the block is nontrivial, because the block
-    sits to the right of b^-1 in the factored word. An element whose lamps
-    lie on one side of index 1 is first conjugated by a power of b that
-    brings them over it, so each factor has at most 4 (hi - lo) + 5
-    syllables for lamps from lo to hi, wherever they sit.
+    product of at most three palindromic words. It commutes with b^m, m
+    the gcd of the gaps between the lamps: b^-m a^k F b^m = a_m^k F^(b^m)
+    for a lamp element F, so g = [f, b^m] a_m^k b^l, k the exponent sum
+    and l the shift, where f(i - m) - f(i) is the lamp at i of the derived
+    part g b^-l a_m^-k. Those lamps lie in one class mod m and sum to 0,
+    so f is finite, and each factor has at most 4 (hi - lo) / m + 5
+    syllables for lamps from lo to hi, wherever they sit. The middle
+    factor carries the abelianized a-block at lamp index m: placing it at
+    index 0 fails re-verification whenever the block is nontrivial,
+    because the block sits to the right of b^-m in the factored word;
   * `palindrome_witness` decides whether an element is the image of a
     palindromic word: since reversal mirrors the support (a_i maps to
     a_-i), the images are the elements whose tail is symmetric under
@@ -38,6 +41,7 @@ The three constructive procedures:
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
@@ -264,67 +268,95 @@ def commutator_witness(g: WreathElement) -> dict[int, int]:
     return f
 
 
-def _solve_commutator(g: WreathElement) -> dict[int, int]:
-    # unchecked: the callers check the witness, or the certificate built on it
+def _solve_commutator(g: WreathElement, step: int = 1) -> dict[int, int]:
+    """f with f(i - step) - f(i) = g's exponent at i, for g with exponent
+    sum 0 and its lamps in one class mod `step`: [f, b^step] = g. f is
+    minus the running lamp sum along that class, so it ends at g's last
+    lamp. Unchecked: the callers check the witness, or the certificate
+    built on it."""
     f: dict[int, int] = {}
     acc = 0
     for (i, e), (j, _) in zip(g.tail, g.tail[1:]):
         acc += e
         check_digits(acc, "a partial lamp sum")
         if acc:
-            f.update(dict.fromkeys(range(i, j), -acc))
+            f.update(dict.fromkeys(range(i, j, step), -acc))
     return f
 
 
 def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition:
     """Certificate with at most three palindromic factors multiplying to g.
 
-    Splits g as a_1^k * b^l * d with d derived (k the exponent sum, l the
-    shift), takes f with [f, b] = d shifted by -l, and emits
+    Elements whose canonical word is already a palindrome are returned as
+    a single factor. Otherwise, with m the gcd of the gaps between g's
+    lamps (1 for a single lamp), g splits as d * a_m^k * b^l with d derived
+    (k the exponent sum, l the shift), and the factors are
 
-        w(-f) b^-1 rev(w(-f))  .  rev(w(f)) a^k w(f)  .  b^(l+1)
+        w(-f) b^-m rev(w(-f))  .  rev(w(f)) a^k w(f)  .  b^(l+m)
 
-    where w(.) is the canonical tail word. Each factor is a symmetric
-    string; the two rev(.) blocks cancel in the group because the tail
-    subgroup is abelian. Elements whose canonical word is already a
-    palindrome are returned as a single factor.
+    where w(.) is the canonical tail word and f solves
+    f(i - m) - f(i) = d(i), that is [f, b^m] = d. Each factor is a
+    symmetric string; the two rev(.) blocks cancel in the group because the
+    tail subgroup is abelian, and b^-m a^k F b^m = a_m^k F^(b^m) for the
+    lamp element F of f, so the product is [f, b^m] a_m^k b^l = g.
 
-    f runs over the lamp hull [lo, hi] of g joined with index 1, so with
-    every lamp on one side of index 1 it would walk out from index 1 to the
-    farthest lamp. Instead, with j = min(max(1, lo), hi) - 1, the
-    construction runs on b^j g b^-j, whose lamps (each moved by -j) span
-    index 1, and its first two factors P1, P2 become b^-j P1 b^-j and
-    b^j P2 b^j. Those gluings are symmetric, so the factors stay
-    palindromes, and b^(l+1) commutes with b^j, so the product is
-    b^-j (P1 P2 b^(l+1)) b^j = g. Each factor then has at most
-    4 (hi - lo) + 5 syllables. For j = 0 nothing is glued.
+    The lamps of d, the a-block included, lie in one class mod m and sum
+    to 0, so f, minus their running sum along that class, is finite: it
+    has at most (hi - lo) / m entries for lamps from lo to hi, and each
+    factor at most 4 (hi - lo) / m + 5 syllables (`_lattice_factors` puts
+    the a-block inside the hull). The last factor is empty for l = -m: a
+    shift of -1 gives two factors at m = 1 and three at m > 1.
     """
     _check_span(g)
     canonical = to_word(g)
     if canonical.is_palindrome():
         factors: tuple[Word, ...] = (canonical,) if canonical else ()
     else:
-        tail, l = g.tail, g.shift
-        k = sum(e for _, e in tail)
-        check_digits(k, "the lamp sum k")
-        check_digits(l + 1, "the shift l + 1")
-        # the construction for b^j g b^-j, whose lamps (each moved by -j)
-        # run over index 1; j = 0 when the hull of g already does
-        j = min(max(1, tail[0][0]), tail[-1][0]) - 1
-        derived = WreathElement(_merge((), tail + ((1 + j, -k),), -j), 0)
-        f = list(_solve_commutator(derived).items())
-        w_pos = support_word(f)
-        w_neg = support_word((i, -e) for i, e in f)
-        first = w_neg * run_word("b", -1) * w_neg.reverse()
-        middle = w_pos.reverse() * run_word("a", k) * w_pos
-        if j:  # g = b^-j (first middle last) b^j, and last commutes with b^j
-            first = run_word("b", -j) * first * run_word("b", -j)
-            middle = run_word("b", j) * middle * run_word("b", j)
-        last = run_word("b", l + 1)
-        factors = tuple(x for x in (first, middle, last) if x)
+        lo = g.tail[0][0]
+        # gcd() of no gaps (a single lamp) is 0
+        factors = _lattice_factors(g, math.gcd(*(i - lo for i, _ in g.tail[1:])) or 1)
     dec = PalindromicDecomposition(canonical, factors, AB)
     check_group_certificate(dec, evaluate, g, 3)
     return dec
+
+
+def _lattice_factors(g: WreathElement, m: int) -> tuple[Word, ...]:
+    """The nonempty factors of `three_palindrome_decomposition` at the
+    lattice step m, for g with at least one lamp and m >= 1 dividing every
+    gap between its lamps.
+
+    f runs over the lamp hull [lo, hi] of g joined with the a-block at
+    index m, so with every lamp on one side of index m it would walk out
+    from index m to the farthest lamp. Instead the block goes to
+    p = lo + m floor((min(max(m, lo), hi) - lo) / m), the largest lattice
+    point of the hull at or below index m (lo when every lamp lies above
+    m), and with j = p - m the construction runs on b^j g b^-j, whose lamps
+    (each moved by -j) span index m; its first two factors P1, P2 become
+    b^-j P1 b^-j and b^j P2 b^j. Those gluings are symmetric, so the
+    factors stay palindromes, and b^(l+m) commutes with b^j, so the product
+    is b^-j (P1 P2 b^(l+m)) b^j = g. For j = 0 nothing is glued; for m = 1,
+    p is index 1 clamped to the hull.
+    """
+    tail, l = g.tail, g.shift
+    k = sum(e for _, e in tail)
+    check_digits(k, "the lamp sum k")
+    check_digits(l + m, f"the shift l + {m}")
+    lo, hi = tail[0][0], tail[-1][0]
+    p = lo + m * ((min(max(m, lo), hi) - lo) // m)
+    j = p - m
+    # the construction for b^j g b^-j, whose lamps (each moved by -j) run
+    # over index m; j = 0 when the hull of g already does
+    derived = WreathElement(_merge((), tail + ((p, -k),), -j), 0)
+    f = list(_solve_commutator(derived, m).items())
+    w_pos = support_word(f)
+    w_neg = support_word((i, -e) for i, e in f)
+    first = w_neg * run_word("b", -m) * w_neg.reverse()
+    middle = w_pos.reverse() * run_word("a", k) * w_pos
+    if j:  # g = b^-j (first middle last) b^j, and last commutes with b^j
+        first = run_word("b", -j) * first * run_word("b", -j)
+        middle = run_word("b", j) * middle * run_word("b", j)
+    last = run_word("b", l + m)
+    return tuple(x for x in (first, middle, last) if x)
 
 
 def palindrome_witness(g: WreathElement) -> Word | None:

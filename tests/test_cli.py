@@ -719,16 +719,61 @@ class TestInputCap:
             '{"support": {"0": 1, "100000": -1}, "shift": 1' + "0" * 50_000 + "}",
             # lamps at 10^49999 and 10^49999 + 100,000
             '{"support": {"1' + "0" * 49_999 + '": 1, "1' + "0" * 49_993 + '100000": -1}, "shift": 0}',
+            # the same with a lamp next to the first, so that the gaps have
+            # gcd 1 and the commutator takes 100,000 steps of b; three
+            # 50,000-digit lamps are too long for one argument, so these
+            # sit at 10^39999
+            '{"support": {"0": 1, "1": 1, "100000": -1}, "shift": 1' + "0" * 50_000 + "}",
+            '{"support": {"1' + "0" * 39_999 + '": 1, "1' + "0" * 39_998 + '1": 1, "1'
+            + "0" * 39_993 + '100000": -1}, "shift": 0}',
         ],
-        ids=["far-shift", "far-hull"],
+        ids=["far-shift", "far-hull", "far-shift-dense", "far-hull-dense"],
     )
     def test_a_hull_at_the_cap_certifies_wherever_it_sits(self, literal):
-        # a certificate at the hull cap holds 100,000 lamps, each keyed near 0
-        # and not near the shift or the far lamps: fast, and within 1 GiB
+        # a certificate at the hull cap holds up to 100,000 lamps, each keyed
+        # near 0 and not near the shift or the far lamps: fast, and within 1 GiB
         proc, seconds = run_capped("decompose", "--group", "wreath", literal, "--recheck")
         assert proc.returncode == 0, proc.stderr[-1000:]
         assert seconds < 10
         assert '"verified": true' in proc.stdout
+
+    def test_two_lamps_at_the_cap_take_one_lattice_step(self):
+        # lamps 100,000 apart: the commutator is one step of b^100000
+        proc, seconds = run_capped(
+            "decompose", "--group", "wreath", '{"support": {"0": 1, "100000": -1}, "shift": 0}', "--recheck"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert seconds < 1
+        assert len(proc.stdout.encode()) < 400
+        assert json.loads(proc.stdout)["factors"] == ["a b^-100000 a", "a^-2", "b^100000"]
+
+    def test_a_comb_over_the_whole_hull_certifies(self):
+        # every other index of a hull of 100,000 (too long a literal for one
+        # argument): 50,000 commutator steps of b^2, and a middle factor
+        # whose lamps reach 2 hull from its first, just under the 2 cap + 2
+        # that `evaluate` refuses
+        code = (
+            "import json\n"
+            "from palwidth.cli import certificate_json, recheck_certificate\n"
+            "from palwidth.wreath import WreathElement, three_palindrome_decomposition\n"
+            "g = WreathElement(tuple((i, 1 + i % 4) for i in range(1, 100_002, 2)), 7)\n"
+            "dec = three_palindrome_decomposition(g)\n"
+            "text = json.dumps(certificate_json('wreath', dec, g.to_json()), sort_keys=True)\n"
+            "assert recheck_certificate(json.loads(text))\n"
+            "print(max(len(f.syllables) for f in dec.factors))\n"
+        )
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 0, proc.stderr[-1000:]
+        assert time.perf_counter() - start < 10
+        assert int(proc.stdout) <= 4 * 100_000 // 2 + 5
 
     def test_a_long_central_part_certifies(self):
         # N_{2,2} certificates lift to lamps x + z at 0 and -z at 1: a

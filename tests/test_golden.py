@@ -35,8 +35,15 @@ CASES = {
         ["decompose", "--group", "bs:3", "t^-11 a t^11", "--recheck"],
         0,
     ),
+    # lamps 206 apart: the commutator runs along that lattice, in steps of b^206
     "decompose_wreath_far_lamp_recheck": (
         ["decompose", "--group", "wreath", '{"support": {"-3": 1, "203": -2}, "shift": -4}', "--recheck"],
+        0,
+    ),
+    # the same hull with gaps of gcd 1: one commutator step per index
+    "decompose_wreath_dense_far_hull_recheck": (
+        ["decompose", "--group", "wreath", '{"support": {"-3": 1, "0": 1, "203": -2}, "shift": -4}',
+         "--recheck"],
         0,
     ),
     # one lamp far from index 1: the certificate is sized by the lamp hull

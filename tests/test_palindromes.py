@@ -174,7 +174,9 @@ class TestGroupCertificate:
             return original(word)
 
         monkeypatch.setattr(wreath, "evaluate", counting)
-        g = wreath.WreathElement.of([(-20100, 2), (-20090, -1)], -4)
+        # three lamps: a commutator of one lattice step (two lamps) would
+        # make the factor product the target word itself
+        g = wreath.WreathElement.of([(-20100, 2), (-20090, -1), (-20080, 1)], -4)
         wreath.three_palindrome_decomposition(g)
         assert len(calls) == 2
         calls.clear()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -20,6 +21,8 @@ from palwidth.words import AB, EMPTY, Word, parse, reduce, run_word
 from palwidth.wreath import (
     NotInDerivedError,
     WreathElement,
+    _lattice_factors,
+    _solve_commutator,
     commutator_witness,
     commutator_with_b,
     evaluate,
@@ -50,6 +53,12 @@ def trips_at_the_hull(routine, g, words=1):
             routine(g)
         m.setattr(search, "MAX_INPUT_SPAN", size)
         return routine(g)
+
+
+def lattice_step(g):
+    """The gcd of the gaps between g's lamps, 1 for fewer than two lamps."""
+    lo = g.tail[0][0]
+    return math.gcd(*(i - lo for i, _ in g.tail)) or 1
 
 
 def is_canonical(tail):
@@ -280,6 +289,31 @@ class TestWitness:
             commutator_witness(elem({0: 1}))
 
     @given(st.dictionaries(st.integers(-6, 6), st.integers(-6, 6), max_size=8))
+    def test_step_1_is_the_prefix_sum_witness(self, support):
+        # f_i = -(n_lo + ... + n_i) for lo <= i < hi, zeros left out
+        c = WreathElement.of([*support.items(), (0, -sum(support.values()))])
+        lamps = dict(c.tail)
+        expected, acc = {}, 0
+        for i in range(min(lamps, default=0), max(lamps, default=0)):
+            acc += lamps.get(i, 0)
+            if acc:
+                expected[i] = -acc
+        assert _solve_commutator(c, 1) == _solve_commutator(c) == expected
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 50),
+           st.dictionaries(st.integers(0, 12), st.integers(-6, 6), max_size=8))
+    def test_lattice_witness(self, offset, m, support):
+        # lamps on offset + m i with exponent sum 0: f(i - m) - f(i) = c(i),
+        # on at most (hi - lo) / m indices of the same lattice
+        c = WreathElement.of([(offset + m * i, e) for i, e in support.items()]
+                             + [(offset, -sum(support.values()))])
+        f = _solve_commutator(c, m)
+        assert WreathElement.of([(i, -e) for i, e in f.items()] + [(i + m, e) for i, e in f.items()]) == c
+        assert all((i - offset) % m == 0 and e for i, e in f.items())
+        if c.tail:
+            assert len(f) <= (c.tail[-1][0] - c.tail[0][0]) // m
+
+    @given(st.dictionaries(st.integers(-6, 6), st.integers(-6, 6), max_size=8))
     def test_witness_property(self, support):
         c = WreathElement.of([*support.items(), (0, -sum(support.values()))])
         f = commutator_witness(c)
@@ -326,17 +360,52 @@ class TestThreePalindromes:
         check_in_group(dec, evaluate)
         assert evaluate(dec.target) == g
 
-    @given(st.integers(-50_000, 50_000),
+    @given(st.integers(-50_000, 50_000), st.integers(1, 50),
            st.dictionaries(st.integers(0, 12), st.integers(-5, 5).filter(bool), min_size=1,
                            max_size=6),
            st.integers(-9, 9))
-    def test_factors_grow_with_the_lamp_hull_only(self, offset, window, shift):
-        # wherever the lamps sit, each factor has at most 4 (hi - lo) + 5
-        # syllables, hi and lo the outermost lamp indices
-        g = elem({offset + i: e for i, e in window.items()}, shift)
+    def test_factors_grow_with_the_lamp_hull_only(self, offset, m, window, shift):
+        # wherever the lamps sit on a lattice offset + m i, each factor has
+        # at most 4 (hi - lo) / m + 5 syllables, hi and lo the outermost lamp
+        # indices, and fewer when the gaps have a gcd that m divides
+        g = elem({offset + m * i: e for i, e in window.items()}, shift)
         dec = three_palindrome_decomposition(g)
-        bound = 4 * (max(window) - min(window)) + 5
+        bound = 4 * (g.tail[-1][0] - g.tail[0][0]) // lattice_step(g) + 5
         assert all(len(f.syllables) <= bound for f in dec.factors), dec.factors
+        assert check_in_group(dec, evaluate) == g
+
+    @given(st.integers(-50_000, 50_000), st.integers(2, 50),
+           st.dictionaries(st.integers(0, 12), st.integers(-5, 5).filter(bool), min_size=2,
+                           max_size=6),
+           st.integers(-60, 60))
+    def test_a_lattice_certificate_is_no_longer_than_the_step_1_one(self, offset, m, window, shift):
+        # per factor, the commutator in steps of b^m never costs more
+        # syllables than the one in steps of b; only the last factor
+        # b^(l+m) can appear where b^(l+1) was empty, for the shift l = -1
+        g = elem({offset + m * i: e for i, e in window.items()}, shift)
+        assume(not to_word(g).is_palindrome())
+        dec = three_palindrome_decomposition(g)
+        dense = _lattice_factors(g, 1)
+        assert all(len(f.syllables) <= len(d.syllables) for f, d in zip(dec.factors, dense))
+        if len(dec.factors) > len(dense):
+            assert shift == -1 and dec.factors[-1] == run_word("b", lattice_step(g) - 1)
+        assert check_in_group(dec, evaluate) == g
+
+    @pytest.mark.parametrize(
+        "shift, factors",
+        [
+            # lamps 206 apart: one commutator step of b^206
+            (-4, ["b^3 a b^-206 a b^3", "b^-3 a^-3 b^-3", "b^202"]),
+            # the shift -206 leaves the last factor empty
+            (-206, ["b^3 a b^-206 a b^3", "b^-3 a^-3 b^-3"]),
+            # b^(l+1) was empty for the shift -1, b^(l+206) is not
+            (-1, ["b^3 a b^-206 a b^3", "b^-3 a^-3 b^-3", "b^205"]),
+        ],
+    )
+    def test_lattice_examples(self, shift, factors):
+        g = elem({-3: 1, 203: -2}, shift)
+        dec = three_palindrome_decomposition(g)
+        assert [str(f) for f in dec.factors] == factors
         assert check_in_group(dec, evaluate) == g
 
     def test_far_lamps_give_a_small_certificate(self):
@@ -489,9 +558,10 @@ def index_words(g):
 
 
 class TestInputCap:
-    @given(lamps=window(12), offset=FAR, shift=FAR)
-    def test_decomposition_cap_is_the_lamp_hull(self, lamps, offset, shift):
-        g = WreathElement.of(((i + offset, e) for i, e in lamps.items()), shift)
+    @given(lamps=window(12), step=st.integers(1, 50), offset=FAR, shift=FAR)
+    def test_decomposition_cap_is_the_lamp_hull(self, lamps, step, offset, shift):
+        # lamps on a lattice: the cap is the hull, not the commutator's steps
+        g = WreathElement.of(((offset + step * i, e) for i, e in lamps.items()), shift)
         trips_at_the_hull(three_palindrome_decomposition, g)
 
     @given(f=window(11), offset=FAR)
