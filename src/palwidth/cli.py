@@ -75,7 +75,11 @@ def _read_element(group: Evaluator, text: str):
     """An element of `group` given as a JSON element literal or as word text."""
     text = text.strip()
     if text.startswith(("{", "[")):
-        return group.decode(json.loads(text, object_pairs_hook=_unique_keys))
+        try:
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError("the element literal is nested too deeply") from None
+        return group.decode(doc)
     return group.eval(parse(text, group.alphabet))
 
 

@@ -272,6 +272,8 @@ def check_bounds(max_factors: int, max_len: int) -> None:
         raise ValueError("max_factors must be at least 1")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    # the histogram holds a count for each k up to max_factors
+    check_input_span(max_factors, "max_factors")
 
 
 def pal_length_bounded(

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
@@ -59,6 +60,9 @@ class NotInDerivedError(ValueError):
 Tail = tuple[tuple[int, int], ...]
 
 _tuple_new = tuple.__new__
+
+# the text str(i) prints for an int i, in ASCII digits
+_CANONICAL_INDEX = re.compile(r"0|-?[1-9][0-9]*", re.ASCII)
 
 
 def _merge(base: Iterable[tuple[int, int]], pairs: Iterable[tuple[int, int]], k: int = 0) -> Tail:
@@ -138,13 +142,16 @@ class WreathElement(NamedTuple):
             raise ValueError("shift must be an integer")
         if not isinstance(support, dict):
             raise ValueError("support must be an object with decimal index keys")
+        pairs = []
         for key, val in support.items():
-            # one spelling per index, so no two keys name the same lamp
-            if str(int(key)) != key:
+            # one spelling per index, so no two keys name the same lamp; read
+            # as text, since a far key costs its digits squared to convert
+            if _CANONICAL_INDEX.fullmatch(key) is None:
                 raise ValueError(f"support key {key!r} is not a canonical decimal index")
             if not isinstance(val, int) or isinstance(val, bool) or val == 0:
                 raise ValueError(f"support entry {key!r} must be a nonzero integer")
-        return cls.of(((int(key), val) for key, val in support.items()), shift)
+            pairs.append((int(key), val))
+        return cls.of(pairs, shift)
 
     def __str__(self) -> str:
         # json.dumps(self.to_json(), sort_keys=True) without the encoder: the

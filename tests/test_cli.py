@@ -110,6 +110,16 @@ class TestDecompose:
         code, out, err = run(capsys, "decompose", "--group", group, literal)
         assert code == 2 and out == "" and "repeated key" in err
 
+    @pytest.mark.parametrize(
+        "group, literal",
+        [("heis", "[" * 1000), ("wreath", "[" * 100_000), ("bs:3", '{"num": ' * 3000)],
+        ids=["heis", "wreath", "bs"],
+    )
+    def test_deeply_nested_literal_is_usage_error(self, capsys, group, literal):
+        # the JSON decoder's RecursionError was a traceback and exit 1
+        code, out, err = run(capsys, "decompose", "--group", group, literal)
+        assert (code, out, err) == (2, "", "error: the element literal is nested too deeply\n")
+
     def test_bad_group(self, capsys):
         code, out, err = run(capsys, "decompose", "--group", "nope", "a")
         assert code == 2 and out == "" and "'nope'" in err
@@ -149,6 +159,10 @@ class TestWitness:
     def test_malformed_json_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "witness", '{"support": ')
         assert code == 2
+
+    def test_deeply_nested_literal_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "witness", '{"a": ' * 3000)
+        assert (code, out, err) == (2, "", "error: the element literal is nested too deeply\n")
 
 
 class TestVerify:
@@ -208,6 +222,15 @@ class TestVerify:
 
 
 class TestExplore:
+    @pytest.fixture
+    def no_ball(self, monkeypatch):
+        """Fail the call if it builds a ball: its usage error comes first."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("the ball was built before the usage error")
+
+        monkeypatch.setattr(cli, "ball_table", never)
+
     def test_radius_zero_csv(self, capsys, tmp_path):
         path = tmp_path / "ball.csv"
         code, _, _ = run(capsys, "explore", "--group", "heis", "--radius", "0", "--out", str(path))
@@ -237,7 +260,7 @@ class TestExplore:
         assert sum(doc["histogram"].values()) > 1
 
     @pytest.mark.parametrize("max_factors", ["0", "-1"])
-    def test_histogram_needs_a_factor(self, capsys, max_factors):
+    def test_histogram_needs_a_factor(self, capsys, no_ball, max_factors):
         code, out, err = run(
             capsys, "explore", "--group", "heis", "--max-len", "2", "--max-factors", max_factors,
             "--radius", "1",
@@ -246,7 +269,7 @@ class TestExplore:
         assert err == "error: max_factors must be at least 1\n"
 
     @pytest.mark.parametrize("max_len", ["0", "-1"])
-    def test_histogram_needs_a_palindrome_length(self, capsys, max_len):
+    def test_histogram_needs_a_palindrome_length(self, capsys, no_ball, max_len):
         code, out, err = run(
             capsys, "explore", "--group", "heis", "--max-len", max_len, "--max-factors", "2",
             "--radius", "1",
@@ -261,15 +284,20 @@ class TestExplore:
     @pytest.mark.parametrize(
         "given, missing", [("--max-factors", "--max-len"), ("--max-len", "--max-factors")]
     )
-    def test_a_lone_histogram_bound_is_usage_error(self, capsys, given, missing):
+    def test_a_lone_histogram_bound_is_usage_error(self, capsys, no_ball, given, missing):
         # with --radius a lone --max-factors printed the ball and exited 0
         code, out, err = run(capsys, "explore", "--group", "heis", "--radius", "1", given, "2")
         assert code == 2 and out == ""
         assert err == f"error: a palindromic-length histogram needs {missing} as well\n"
 
     def test_budget_exit_code(self, capsys):
-        code, _, err = run(capsys, "explore", "--group", "heis", "--radius", "6", "--budget", "5")
-        assert code == 3 and "state cap" in err
+        # the ball, and the palindrome product index of a histogram
+        for mode in (
+            ["--radius", "6", "--budget", "5"],
+            ["--radius", "2", "--max-len", "6", "--max-factors", "2", "--budget", "40"],
+        ):
+            code, out, err = run(capsys, "explore", "--group", "heis", *mode)
+            assert code == 3 and out == "" and "state cap" in err
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -300,6 +328,36 @@ class TestExplore:
         assert code == 0 and out == ""
         assert path.read_text().startswith("normal_form,min_length,witness")
         assert json.loads(err)["elements"] == len(path.read_text().splitlines()) - 1
+
+    @pytest.mark.parametrize("group", ["wreath", "heis", "bs:2"])
+    def test_summary_spheres_match_each_ball(self, capsys, group):
+        # the summary's spheres are the growth table without the running sum
+        code, _, err = run(capsys, "explore", "--group", group, "--radius", "5")
+        assert code == 0
+        summary = json.loads(err)
+        ev = lookup_group(group)
+        sizes = [0] + [len(search.ball_table(ev, r)) for r in range(6)]
+        assert summary["spheres"] == [b - a for a, b in zip(sizes, sizes[1:])]
+        assert sum(summary["spheres"]) == summary["elements"] == sizes[-1]
+
+    def test_histogram_builds_one_ball(self, monkeypatch, capsys):
+        # the histogram runs over the summary's own ball, not a second search
+        calls = []
+
+        def counting_ball_table(*args, **kwargs):
+            calls.append(args)
+            return search.ball_table(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ball_table", counting_ball_table)
+        code, out, err = run(
+            capsys, "explore", "--group", "heis", "--radius", "6", "--max-len", "4", "--max-factors", "2"
+        )
+        assert code == 0 and len(calls) == 1
+        hist = search.pal_length_histogram(lookup_group("heis"), 6, 2, 4)
+        assert json.loads(out)["histogram"] == hist
+        summary = json.loads(err)
+        assert summary["elements"] == len(search.ball_table(lookup_group("heis"), 6))
+        assert sum(summary["spheres"]) == summary["elements"]
 
 
 @pytest.mark.parametrize(
@@ -697,6 +755,7 @@ class TestInputCap:
         assert seconds < 5
         assert proc.stdout == ""
         assert "more than 100000 decimal digits, over the digit cap" in proc.stderr
+        assert len(proc.stderr.encode()) < 200
 
     def test_far_lamps_with_a_narrow_hull_certify(self):
         # 100,001 from index 0, but a hull of 0 and 1: both certificates are short
@@ -845,6 +904,23 @@ class TestInputCap:
         assert proc.stderr == (
             "error: palindrome product index exceeded its state cap (completed depth 0)\n"
         )
+
+    @pytest.mark.parametrize("max_factors, code", [(100_000, 0), (100_001, 3), (10_000_000, 3)])
+    def test_max_factors_cap(self, max_factors, code):
+        # the histogram holds a count for each k up to --max-factors, made
+        # before any search: 10^7 of them ran out of 1 GiB (MemoryError,
+        # exit 1); over the cap, the call exits before the ball is built
+        proc, seconds = run_capped(
+            "explore", "--group", "heis", "--radius", "0", "--max-len", "2",
+            "--max-factors", str(max_factors),
+        )
+        assert proc.returncode == code, proc.stderr[-1000:]
+        assert seconds < 5
+        if code == 0:
+            assert len(json.loads(proc.stdout)["histogram"]) == max_factors + 2
+        else:
+            assert proc.stdout == ""
+            assert proc.stderr == f"error: max_factors is {max_factors}, over the input cap of 100000\n"
 
     def test_huge_group_parameter_zero_translation_certifies(self):
         # the normal form t^0 a^0 t^-90000 needs no power of n

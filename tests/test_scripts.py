@@ -1,7 +1,8 @@
-"""Smoke tests: the experiment script runs from any working directory, and
-the ball census, now `palwidth explore`, keeps its rules."""
+"""Tests of scripts/width_report.py: it runs from any working directory,
+refuses bad case counts with one short error line, survives a reader that
+goes away, and prints a failed self-check as a failed fact. The
+command-line contract of `palwidth` itself is tested in test_cli.py."""
 
-import json
 import os
 import subprocess
 import sys
@@ -35,33 +36,6 @@ def test_script_runs_outside_the_repo(tmp_path, script, args, facts):
     assert all(line.startswith("[PASS]") for line in reported)
 
 
-@pytest.mark.parametrize(
-    "bounds, error",
-    [
-        (["--max-len", "0", "--max-factors", "2"], "max_len must be at least 1"),
-        (["--max-len", "4", "--max-factors", "0"], "max_factors must be at least 1"),
-        # alone, either bound printed the growth table and exited 0
-        (["--max-factors", "2"], "a palindromic-length histogram needs --max-len as well"),
-        (["--max-len", "4"], "a palindromic-length histogram needs --max-factors as well"),
-    ],
-    ids=["--max-len", "--max-factors", "lone --max-factors", "lone --max-len"],
-)
-def test_census_rejects_an_empty_search(bounds, error):
-    # the bounds are checked before the ball is built, so nothing is printed
-    proc = census("--group", "heis", "--radius", "1", *bounds)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == f"error: {error}\n"
-
-
-def test_census_usage_error_is_one_cut_line():
-    # argparse printed its usage block and the value whole
-    proc = census("--group", "heis", "--radius", "x" * 100_000)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: argument --radius: invalid int value: 'x")
-    assert proc.stderr.endswith("' (see palwidth explore --help)\n")
-    assert len(proc.stderr.encode()) < 200
-
-
 @pytest.mark.parametrize("script", ["width_report.py"])
 def test_script_help_exits_0(script):
     proc = subprocess.run(
@@ -70,8 +44,18 @@ def test_script_help_exits_0(script):
     assert proc.returncode == 0 and proc.stdout.startswith("usage: ")
 
 
-@pytest.mark.parametrize("cases, code", [("0", 2), ("-1", 2), ("100001", 3)])
-def test_report_refuses_bad_case_counts(cases, code):
+@pytest.mark.parametrize(
+    "cases, code, error",
+    [
+        ("0", 2, "cases must be at least 1"),
+        ("-1", 2, "cases must be at least 1"),
+        ("100001", 3, "over the cap of 100000"),
+        # argparse printed its usage block and the value whole
+        ("x" * 100_000, 2, "' (see width_report.py --help)"),
+    ],
+    ids=["0-2", "-1-2", "100001-3", "argparse"],
+)
+def test_report_refuses_bad_case_counts(cases, code, error):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "width_report.py"), "--cases", cases],
         capture_output=True,
@@ -79,9 +63,8 @@ def test_report_refuses_bad_case_counts(cases, code):
         timeout=60,
     )
     assert proc.returncode == code and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    expected = "cases must be at least 1" if code == 2 else "over the cap of 100000"
-    assert expected in proc.stderr
+    assert "Traceback" not in proc.stderr and error in proc.stderr
+    assert len(proc.stderr.encode()) < 200
 
 
 def test_report_read_for_one_line_exits_1_without_a_traceback():
@@ -101,52 +84,6 @@ def test_report_read_for_one_line_exits_1_without_a_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
-def census(*args):
-    """`palwidth explore ARGS`, the ball census, in a fresh interpreter."""
-    return subprocess.run(
-        [sys.executable, "-m", "palwidth", "explore", *args],
-        env=dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src")),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-
-
-@pytest.mark.parametrize("group", ["wreath", "heis", "bs:2"])
-def test_census_rows_match_each_ball(group):
-    # the summary's spheres are the growth table without the running sum
-    from palwidth.cli import lookup_group
-    from palwidth.search import ball_table
-
-    proc = census("--group", group, "--radius", "5")
-    assert proc.returncode == 0, proc.stderr
-    summary = json.loads(proc.stderr)
-    ev = lookup_group(group)
-    sizes = [0] + [len(ball_table(ev, r)) for r in range(6)]
-    assert summary["spheres"] == [b - a for a, b in zip(sizes, sizes[1:])]
-    assert sum(summary["spheres"]) == summary["elements"] == sizes[-1]
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["--radius", "6", "--budget", "20"],
-        ["--radius", "2", "--max-len", "6", "--max-factors", "2", "--budget", "40"],
-    ],
-)
-def test_census_over_budget_exits_3(args):
-    proc = census("--group", "heis", *args)
-    assert proc.returncode == 3
-    assert "state cap" in proc.stderr and "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_census_budget_below_one_is_usage_error(budget):
-    proc = census("--group", "heis", "--radius", "0", "--budget", budget)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.endswith("error: budget must be at least 1\n")
-
-
 def load_script(monkeypatch, name, *args):
     """The script as a module, with these command-line arguments; its own
     sys.path entry is undone after the test."""
@@ -158,28 +95,6 @@ def load_script(monkeypatch, name, *args):
     spec.loader.exec_module(module)
     monkeypatch.setattr(sys, "argv", [name, *args])
     return module
-
-
-def test_census_builds_one_ball(monkeypatch, capsys):
-    # the histogram runs over the summary's own ball, not a second search
-    from palwidth import cli, search
-
-    calls = []
-
-    def counting_ball_table(*args, **kwargs):
-        calls.append(args)
-        return search.ball_table(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "ball_table", counting_ball_table)
-    args = ["explore", "--group", "heis", "--radius", "6", "--max-len", "4", "--max-factors", "2"]
-    assert cli.main(args) == 0
-    assert len(calls) == 1
-    out, err = capsys.readouterr()
-    hist = search.pal_length_histogram(cli.lookup_group("heis"), 6, 2, 4)
-    assert json.loads(out)["histogram"] == hist
-    summary = json.loads(err)
-    assert summary["elements"] == len(search.ball_table(cli.lookup_group("heis"), 6))
-    assert sum(summary["spheres"]) == summary["elements"]
 
 
 def test_report_shows_a_failed_self_check_as_a_failed_fact(monkeypatch, capsys):

@@ -619,3 +619,21 @@ class TestJson:
             WreathElement.from_json({"support": {key: 1}, "shift": 0})
         with pytest.raises(ValueError):
             WreathElement.from_json({"support": {"1": 2, key: 3}, "shift": 0})
+
+    @given(st.one_of(
+        st.sampled_from(["-0", "00", "+1", "1_0", " 1", "1\n", "١", "٣", "-", ""]),
+        st.integers(-10**30, 10**30).map(str),
+        st.text("-+0123456789_ ١", max_size=6),
+    ))
+    def test_a_key_is_canonical_when_int_gives_it_back(self, key):
+        # the key is checked as text, so a far key is converted once
+        try:
+            canonical = str(int(key)) == key
+        except ValueError:
+            canonical = False
+        doc = {"support": {key: 1}, "shift": 0}
+        if canonical:
+            assert WreathElement.from_json(doc) == WreathElement(((int(key), 1),), 0)
+        else:
+            with pytest.raises(ValueError, match="not a canonical decimal index"):
+                WreathElement.from_json(doc)
