@@ -1,10 +1,12 @@
 """Command-line frontend: decompose / witness / verify / explore.
 
 A thin dispatcher over the library; it performs no mathematics itself.
-Exit codes: 0 success/verified, 1 verification failure or a stdout closed
-early, 2 usage or parse error, 3 resource budget exceeded; a closed stderr
-keeps the code. All randomness flows from --seed through random.Random
-(Mersenne Twister), so reports are reproducible.
+Exit codes: 0 success/verified, 1 verification failure or a failed write
+to stdout (a stdout closed early, a full device), 2 usage or parse error
+(also an --out file that cannot be written), 3 resource budget exceeded
+(also a --budget over the default); a closed stderr keeps the code. All
+randomness flows from --seed through random.Random (Mersenne Twister), so
+reports are reproducible.
 """
 
 from __future__ import annotations
@@ -108,11 +110,13 @@ def recheck_certificate(doc: dict) -> bool:
         return False
 
 
-def _open_out(path: str, mode: str = "w", newline: str | None = None):
-    """The --out file, opened for writing; a path that cannot be written
-    is a usage error, not a verification failure."""
+def _write_out(path: str, write, mode: str = "w", newline: str | None = None) -> None:
+    """Open the --out file and call write(fh) on it; a path that cannot be
+    opened or written (a full device) is a usage error, not a verification
+    failure."""
     try:
-        return open(path, mode, encoding="utf-8", newline=newline)
+        with open(path, mode, encoding="utf-8", newline=newline) as fh:
+            write(fh)
     except OSError as exc:
         raise ValueError(f"cannot write --out file: {exc}") from None
 
@@ -121,7 +125,7 @@ def _check_out(path: str) -> None:
     """Refuse an --out path that cannot be written before any work: open it
     for appending, which leaves an existing file alone, and remove a new one."""
     existed = os.path.lexists(path)
-    _open_out(path, "a").close()
+    _write_out(path, lambda fh: None, "a")
     if not existed:
         os.remove(path)
 
@@ -138,8 +142,7 @@ def _emit(args, make_doc) -> str:
             f"a number to print has more than {MAX_DIGITS} decimal digits, over the digit cap"
         ) from None
     if getattr(args, "out", None):
-        with _open_out(args.out) as fh:
-            fh.write(payload + "\n")
+        _write_out(args.out, lambda fh: fh.write(payload + "\n"))
     print(payload)
     return payload
 
@@ -213,8 +216,7 @@ def cmd_explore(args) -> int:
         }
         _emit(args, lambda: doc)
     elif args.out:
-        with _open_out(args.out, newline="") as fh:
-            write_ball_csv(table, ev, fh)
+        _write_out(args.out, lambda fh: write_ball_csv(table, ev, fh), newline="")
     else:
         write_ball_csv(table, ev, sys.stdout)
     # spheres[r]: the elements at distance exactly r, from the same ball
@@ -285,7 +287,8 @@ def build_parser() -> ArgumentParser:
     p.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
         help="state cap for searches and for the palindromes of level 1 (so --max-len 23 "
-        "at most at the default)",
+        "at most at the default); it may lower the default but not raise it, since the "
+        "default keeps a search inside 1 GiB",
     )
     p.add_argument(
         "--out",
@@ -312,11 +315,15 @@ def run(work) -> int:
         code = work()
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # stdout was closed early (`palwidth ... | head`): point it at devnull
-        # so that the interpreter's last flush does not fail again
+    except OSError as exc:
+        # a write to stdout failed (the --out file's errors are ValueErrors):
+        # a stdout closed early (`palwidth ... | head`) ends quietly, any other
+        # failure (a full device) with an error line. Stdout then points at
+        # devnull, so that the interpreter's last flush does not fail again.
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            _print_stderr(f"error: cannot write to stdout: {exc}")
         return EXIT_VERIFY
     except Exception as exc:
         code = next((mapped for kinds, mapped in EXIT_CODES if isinstance(exc, kinds)), None)

@@ -73,17 +73,20 @@ def check_input_span(span: int, what: str) -> None:
 MAX_DIGITS = MAX_INPUT_SPAN
 
 
-# The default state cap of the command-line searches. A Z wr Z product
-# level holds about 0.55 MB per 1,000 states, so a search that trips this
-# cap stays inside a 1 GiB address space.
+# The default state cap of the command-line searches, and the largest one
+# they accept. A Z wr Z product level holds about 0.55 MB per 1,000 states,
+# so a search that trips this cap stays inside a 1 GiB address space.
 DEFAULT_BUDGET = 1_500_000
 
 
 def check_budget(max_states: int | None) -> None:
-    """Raise ValueError for a state cap below 1: no search fits under it,
-    since the identity alone is one state."""
+    """Raise ValueError for a state cap below 1, since the identity alone is
+    one state, and BudgetExceeded for one above DEFAULT_BUDGET, since a
+    search may fill it before it trips. None is no cap."""
     if max_states is not None and max_states < 1:
         raise ValueError("budget must be at least 1")
+    if max_states is not None and max_states > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"budget is {max_states}, over the cap of {DEFAULT_BUDGET}")
 
 
 def check_digits(value: int, what: str) -> None:

@@ -565,8 +565,34 @@ def test_stdout_closed_early_exits_1_without_a_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
-SCRIPTS = SRC.parent / "scripts"
 PALWIDTH = [sys.executable, "-m", "palwidth"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["decompose", "--group", "heis", "[1,2,3]"], 1, "cannot write to stdout: "),
+        (["explore", "--group", "wreath", "--radius", "3"], 1, "cannot write to stdout: "),
+        (["explore", "--group", "wreath", "--radius", "3", "--out", "/dev/full"], 2,
+         "cannot write --out file: "),
+        (["verify", "wreath-hom", "--cases", "5", "--out", "/dev/full"], 2,
+         "cannot write --out file: "),
+    ],
+    ids=["decompose-stdout", "explore-stdout", "explore-out", "verify-out"],
+)
+def test_a_failed_write_is_one_error_line(argv, code, error):
+    # each exited 1 with an OSError traceback: the full device fails the
+    # write to stdout or to --out (and for stdout the last flush as well)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            PALWIDTH + argv, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE if "--out" in argv else full, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: " + error) and len(proc.stderr.encode()) < 200
 
 
 def run_with_stderr(argv, stderr):
@@ -609,11 +635,11 @@ def run_with_stderr(argv, stderr):
         # the ball census, now the histogram mode of `explore`, over its budget
         (PALWIDTH + ["explore", "--group", "wreath", "--radius", "30", "--budget", "10",
                      "--max-len", "2", "--max-factors", "1"], 3),  # parent: 1
-        ([sys.executable, str(SCRIPTS / "width_report.py"), "--cases", "100001"], 3),  # parent: 1
-        ([sys.executable, str(SCRIPTS / "width_report.py"), "--cases", "0"], 2),
+        (PALWIDTH + ["verify", "wreath-hom", "--cases", "100001"], 3),
+        (PALWIDTH + ["verify", "wreath-hom", "--cases", "0"], 2),
     ],
     ids=["bad-group", "unknown-suite", "argparse", "no-mode", "budget", "not-derived",
-         "ball-summary", "census-budget", "report-case-cap", "report-no-cases"],
+         "ball-summary", "census-budget", "verify-case-cap", "verify-no-cases"],
 )
 def test_a_closed_stderr_keeps_the_exit_code_and_stdout(argv, code):
     # the `explore` ball writes its CSV to stdout and its summary to stderr
@@ -904,6 +930,27 @@ class TestInputCap:
         assert proc.stderr == (
             "error: palindrome product index exceeded its state cap (completed depth 0)\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # each ran out of 1 GiB over the default budget, with a fatal
+            # error (exit 134) or a MemoryError traceback (exit 1), or, for
+            # a level 1 of 13,947,137,600 palindromes, ran for minutes
+            ["--radius", "6", "--max-len", "14", "--max-factors", "3", "--group", "wreath",
+             "--budget", "10000000"],
+            ["--radius", "16", "--group", "wreath", "--budget", "10000000"],
+            ["--radius", "3", "--max-len", "40", "--max-factors", "1", "--group", "heis",
+             "--budget", "9" * 60],
+        ],
+        ids=["wreath-index", "wreath-ball", "heis-palindromes"],
+    )
+    def test_a_budget_over_the_default_exits_before_the_search(self, argv):
+        proc, seconds = run_capped("explore", *argv)
+        assert proc.returncode == 3, proc.stderr[-1000:]
+        assert seconds < 5
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: budget is {argv[-1]}, over the cap of 1500000\n"
 
     @pytest.mark.parametrize("max_factors, code", [(100_000, 0), (100_001, 3), (10_000_000, 3)])
     def test_max_factors_cap(self, max_factors, code):
