@@ -127,7 +127,10 @@ def _check_out(path: str) -> None:
     existed = os.path.lexists(path)
     _write_out(path, lambda fh: None, "a")
     if not existed:
-        os.remove(path)
+        try:
+            os.remove(path)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out file: {exc}") from None
 
 
 def _emit(args, make_doc) -> str:
@@ -316,10 +319,12 @@ def run(work) -> int:
         sys.stdout.flush()
         return code
     except OSError as exc:
-        # a write to stdout failed (the --out file's errors are ValueErrors):
-        # a stdout closed early (`palwidth ... | head`) ends quietly, any other
-        # failure (a full device) with an error line. Stdout then points at
-        # devnull, so that the interpreter's last flush does not fail again.
+        # a write to stdout failed: it is the one OSError that reaches here,
+        # since the --out file's errors (_write_out, _check_out) are
+        # ValueErrors. A stdout closed early (`palwidth ... | head`) ends
+        # quietly, any other failure (a full device) with an error line.
+        # Stdout then points at devnull, so that the interpreter's last
+        # flush does not fail again.
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):

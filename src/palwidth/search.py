@@ -82,7 +82,10 @@ DEFAULT_BUDGET = 1_500_000
 def check_budget(max_states: int | None) -> None:
     """Raise ValueError for a state cap below 1, since the identity alone is
     one state, and BudgetExceeded for one above DEFAULT_BUDGET, since a
-    search may fill it before it trips. None is no cap."""
+    search may fill it before it trips. The upper bound is the command
+    line's 1 GiB contract, and it holds for a library caller's finite cap
+    too. None is no cap and bypasses the bound on purpose, for a library
+    caller (the benchmark) that sizes its own searches."""
     if max_states is not None and max_states < 1:
         raise ValueError("budget must be at least 1")
     if max_states is not None and max_states > DEFAULT_BUDGET:

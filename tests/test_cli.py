@@ -568,12 +568,20 @@ def test_stdout_closed_early_exits_1_without_a_traceback():
 PALWIDTH = [sys.executable, "-m", "palwidth"]
 
 
+def buffered_env() -> dict:
+    """The environment of a child that buffers its streams, as Python does
+    by default (and as CI runs it), whatever the caller's PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return env
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv, code, error",
     [
         (["decompose", "--group", "heis", "[1,2,3]"], 1, "cannot write to stdout: "),
-        (["explore", "--group", "wreath", "--radius", "3"], 1, "cannot write to stdout: "),
+        (["explore", "--group", "wreath", "--radius", "5"], 1, "cannot write to stdout: "),
         (["explore", "--group", "wreath", "--radius", "3", "--out", "/dev/full"], 2,
          "cannot write --out file: "),
         (["verify", "wreath-hom", "--cases", "5", "--out", "/dev/full"], 2,
@@ -583,10 +591,12 @@ PALWIDTH = [sys.executable, "-m", "palwidth"]
 )
 def test_a_failed_write_is_one_error_line(argv, code, error):
     # each exited 1 with an OSError traceback: the full device fails the
-    # write to stdout or to --out (and for stdout the last flush as well)
+    # write to stdout or to --out (and for stdout the last flush as well).
+    # The radius-5 CSV (~27 kB) outgrows the stdout buffer, so its write
+    # fails before explore prints its summary to stderr.
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            PALWIDTH + argv, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            PALWIDTH + argv, env=buffered_env(),
             stdout=subprocess.PIPE if "--out" in argv else full, stderr=subprocess.PIPE,
             text=True, timeout=60,
         )
@@ -600,8 +610,7 @@ def run_with_stderr(argv, stderr):
     a `pipe` whose read end is closed, or descriptor 2 `closed`. The child
     buffers its streams, as Python does by default, so what a failed write
     leaves in the buffer meets the interpreter's last flush."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(SRC)
+    env = buffered_env()
     streams = {"stdout": subprocess.PIPE}
     if stderr == "open":
         streams["stderr"] = subprocess.PIPE
