@@ -2,16 +2,17 @@
 
 A thin dispatcher over the library; it performs no mathematics itself.
 Exit codes: 0 success/verified, 1 verification failure or a failed write
-to stdout (a stdout closed early, a full device), 2 usage or parse error
-(also an --out file that cannot be written), 3 resource budget exceeded
-(also a --budget over the default); a closed stderr keeps the code. All
-randomness flows from --seed through random.Random (Mersenne Twister), so
-reports are reproducible.
+to stdout (a stdout closed at start or early, a full device), 2 usage or
+parse error (also an --out file that cannot be written), 3 resource budget
+exceeded (also a --budget over the default); a closed stderr keeps the
+code. All randomness flows from --seed through random.Random (Mersenne
+Twister), so reports are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ EXIT_BUDGET = 3
 EXIT_CODES = (
     (BudgetExceeded, EXIT_BUDGET),
     ((NotInDerivedError, CertificateError, SelfCheckError), EXIT_VERIFY),
-    ((ValueError, KeyError), EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
 )
 
 
@@ -133,6 +134,15 @@ def _check_out(path: str) -> None:
             raise ValueError(f"cannot write --out file: {exc}") from None
 
 
+def _stdout():
+    """sys.stdout, to write to. Python sets it to None when descriptor 1 is
+    closed at start (`palwidth ... >&-`), and a write there fails as a write
+    to a descriptor closed later does."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _emit(args, make_doc) -> str:
     """Print the JSON text of make_doc(), also to the --out file, and return
     it. Printing refuses a number of more than MAX_DIGITS digits (`main`
@@ -146,7 +156,7 @@ def _emit(args, make_doc) -> str:
         ) from None
     if getattr(args, "out", None):
         _write_out(args.out, lambda fh: fh.write(payload + "\n"))
-    print(payload)
+    print(payload, file=_stdout())
     return payload
 
 
@@ -221,7 +231,7 @@ def cmd_explore(args) -> int:
     elif args.out:
         _write_out(args.out, lambda fh: write_ball_csv(table, ev, fh), newline="")
     else:
-        write_ball_csv(table, ev, sys.stdout)
+        write_ball_csv(table, ev, _stdout())
     # spheres[r]: the elements at distance exactly r, from the same ball
     spheres = [0] * (radius + 1)
     for length, _ in table.values():
@@ -316,7 +326,8 @@ def run(work) -> int:
     an `error:` line on stderr."""
     try:
         code = work()
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None: nothing was written to it (`_stdout`)
+            sys.stdout.flush()
         return code
     except OSError as exc:
         # a write to stdout failed: it is the one OSError that reaches here,
@@ -325,8 +336,9 @@ def run(work) -> int:
         # quietly, any other failure (a full device) with an error line.
         # Stdout then points at devnull, so that the interpreter's last
         # flush does not fail again.
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if sys.stdout is not None:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             _print_stderr(f"error: cannot write to stdout: {exc}")
         return EXIT_VERIFY
@@ -334,9 +346,7 @@ def run(work) -> int:
         code = next((mapped for kinds, mapped in EXIT_CODES if isinstance(exc, kinds)), None)
         if code is None:
             raise
-        # str() of a one-argument KeyError quotes its message
-        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
-        line = f"error: {message}"
+        line = f"error: {exc}"
         if len(line) > 200:  # an input echoed whole: keep both ends, so the reason survives
             line = f"{line[:80]}...({len(line) - 160} characters)...{line[-80:]}"
         _print_stderr(line)

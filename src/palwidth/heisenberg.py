@@ -103,11 +103,6 @@ def reversal_image(h: HeisElement) -> HeisElement:
     return HeisElement(h.x, h.y, h.x * h.y - h.z)
 
 
-def is_palindrome_image(h: HeisElement) -> bool:
-    """True exactly when h is the image of some palindromic word."""
-    return 2 * h.z == h.x * h.y
-
-
 def palindrome_word_for(x: int, y: int) -> Word | None:
     """A palindromic word with image (x, y, xy/2), when xy is even."""
     if y % 2 == 0:
@@ -157,11 +152,9 @@ def two_palindrome_product(h: HeisElement) -> tuple[Word, Word] | None:
     for step in (0, 1):
         x1 = x1_base + step * (x // g)
         y1 = y1_base + step * (y // g)
-        x2, y2 = x - x1, y - y1
-        if (x1 * y1) % 2 == 0 and (x2 * y2) % 2 == 0:
-            w1 = palindrome_word_for(x1, y1)
-            w2 = palindrome_word_for(x2, y2)
-            assert w1 is not None and w2 is not None
+        w1 = palindrome_word_for(x1, y1)
+        w2 = palindrome_word_for(x - x1, y - y1)
+        if w1 is not None and w2 is not None:  # the empty word is a witness too
             dec = PalindromicDecomposition(w1 * w2, tuple(w for w in (w1, w2) if w), AB)
             check_group_certificate(dec, evaluate, h, 2)
             return (w1, w2)

@@ -242,7 +242,6 @@ def _signed_letters(alphabet: Alphabet) -> dict[str, Letter]:
 
 
 def _scan(text: str, alphabet: Alphabet) -> list[Syllable]:
-    names = alphabet.names
     signed = _signed_letters(alphabet)
     syllables: list[Syllable] = []
     i, n = 0, len(text)
@@ -253,12 +252,9 @@ def _scan(text: str, alphabet: Alphabet) -> list[Syllable]:
             if c.isspace():
                 i += 1
                 continue
-            if not c.isalpha():
-                raise ParseError(f"unexpected character {c!r}", i)
-            base = c.lower()
-            if base not in names:
+            if c.isalpha():
                 raise ParseError(f"unknown generator {c!r}", i)
-            letter = (base, 1 if c.islower() else -1)
+            raise ParseError(f"unexpected character {c!r}", i)
         i += 1
         exp = 1
         if i < n and text[i] == "^":

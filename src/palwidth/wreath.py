@@ -104,9 +104,7 @@ class WreathElement(NamedTuple):
         shift += s
         if not right:  # a pure shift moves no lamp
             return _tuple_new(WreathElement, (tail, shift))
-        if not tail:  # nothing to merge into: the right tail, moved by -s
-            tail = tuple([(i - s, e) for i, e in right]) if s else right
-        elif len(right) == 1:  # one lamp, as in every step by a^±1
+        if len(right) == 1:  # one lamp, as in every step by a^±1
             ((i, e),) = right
             i -= s
             k = bisect_left(tail, (i,))  # (i,) sorts before every (i, e)

@@ -185,12 +185,16 @@ class TestVerify:
             assert name in err
 
     @pytest.mark.parametrize("name", ["y" * 30, "\x01" * 100_000])
-    def test_a_long_unknown_suite_keeps_the_whole_list(self, capsys, name):
-        # the echoed name is cut, not the list, and the line stays short
-        code, _, err = run(capsys, "verify", name)
-        assert code == 2 and err.startswith("error: unknown suite ")
-        assert err.endswith("; known: " + ", ".join(suites.available_suites()) + "\n")
-        assert "characters)..." not in err and len(err.encode()) < 200
+    def test_a_long_unknown_suite_keeps_the_whole_list(self, capsys, monkeypatch, name):
+        # the name is not echoed, and the line stays short with the whole
+        # list, also after an eleventh suite with a 20-character name
+        for more in (False, True):
+            if more:
+                monkeypatch.setitem(suites.SUITES, "z" * 20, suites.SUITES["bs-hom"])
+            code, _, err = run(capsys, "verify", name)
+            assert code == 2 and err.startswith("error: unknown suite ")
+            assert err.endswith("; known: " + ", ".join(suites.available_suites()) + "\n")
+            assert "characters)..." not in err and len(err.encode()) < 200
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "heis-quotient", "--seed", "5", "--cases", "150")
@@ -605,26 +609,29 @@ def test_a_failed_write_is_one_error_line(argv, code, error):
     assert proc.stderr.startswith("error: " + error) and len(proc.stderr.encode()) < 200
 
 
-def run_with_stderr(argv, stderr):
-    """Exit code and stdout of ARGV with stderr `open` (a pipe that is read),
-    a `pipe` whose read end is closed, or descriptor 2 `closed`. The child
-    buffers its streams, as Python does by default, so what a failed write
-    leaves in the buffer meets the interpreter's last flush."""
+def run_child(argv, stderr="open", stdout="open"):
+    """The finished child ARGV, with stderr `open` (a pipe that is read), a
+    `pipe` whose read end is closed, or descriptor 2 `closed`, and stdout
+    `open` or descriptor 1 `closed`. The child buffers its streams, as
+    Python does by default, so what a failed write leaves in the buffer
+    meets the interpreter's last flush."""
     env = buffered_env()
-    streams = {"stdout": subprocess.PIPE}
+    streams = {"stdout": subprocess.PIPE if stdout == "open" else None}
     if stderr == "open":
         streams["stderr"] = subprocess.PIPE
     elif stderr == "pipe":
         read_end, streams["stderr"] = os.pipe()
         os.close(read_end)
-    else:
-        streams["preexec_fn"] = lambda: os.close(2)
+    # closed in the child only, after the fork
+    closed = [fd for fd, mode in ((1, stdout), (2, stderr)) if mode == "closed"]
     try:
-        proc = subprocess.run(argv, env=env, timeout=60, **streams)
+        return subprocess.run(
+            argv, env=env, timeout=60, preexec_fn=lambda: [os.close(fd) for fd in closed],
+            **streams,
+        )
     finally:
         if stderr == "pipe":
             os.close(streams["stderr"])
-    return proc.returncode, proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -646,16 +653,46 @@ def run_with_stderr(argv, stderr):
                      "--max-len", "2", "--max-factors", "1"], 3),  # parent: 1
         (PALWIDTH + ["verify", "wreath-hom", "--cases", "100001"], 3),
         (PALWIDTH + ["verify", "wreath-hom", "--cases", "0"], 2),
+        (PALWIDTH + ["explore", "--group", "heis", "--radius", "-1"], 2),
+        (PALWIDTH + ["witness", '{"support": [], "shift": 0}'], 2),
     ],
     ids=["bad-group", "unknown-suite", "argparse", "no-mode", "budget", "not-derived",
-         "ball-summary", "census-budget", "verify-case-cap", "verify-no-cases"],
+         "ball-summary", "census-budget", "verify-case-cap", "verify-no-cases",
+         "negative-radius", "support-list"],
 )
 def test_a_closed_stderr_keeps_the_exit_code_and_stdout(argv, code):
     # the `explore` ball writes its CSV to stdout and its summary to stderr
-    expected = run_with_stderr(argv, "open")
-    assert expected[0] == code
+    expected = run_child(argv)
+    assert expected.returncode == code
     for stderr in ("pipe", "closed"):
-        assert run_with_stderr(argv, stderr) == expected, stderr
+        proc = run_child(argv, stderr)
+        assert (proc.returncode, proc.stdout) == (code, expected.stdout), stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["decompose", "--group", "heis", "[1,2,3]"], 1, "error: cannot write to stdout: "),
+        (["witness", "a b A B"], 1, "error: cannot write to stdout: "),
+        (["verify", "wreath-hom", "--cases", "5"], 1, "error: cannot write to stdout: "),
+        (["explore", "--group", "heis", "--radius", "1"], 1, "error: cannot write to stdout: "),
+        # the ball goes to the --out file, and only the summary to stderr
+        (["explore", "--group", "heis", "--radius", "1", "--out", "OUT"], 0, '{"elements": 5, '),
+        (["decompose", "--group", "nope", "a"], 2, "error: unknown group 'nope'"),
+    ],
+    ids=["decompose", "witness", "verify", "explore-csv", "explore-out", "usage"],
+)
+def test_a_stdout_closed_at_start_is_a_failed_write(tmp_path, argv, code, line):
+    # Python sets sys.stdout to None when descriptor 1 is closed (`>&-`);
+    # every row but `usage` ended in a traceback and exit 1 before a
+    # missing stdout counted as a failed write
+    out = tmp_path / "ball.csv"
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
+    proc = run_child(PALWIDTH + argv, stdout="closed")
+    err = proc.stderr.decode("utf-8")
+    assert proc.returncode == code
+    assert "Traceback" not in err and err.count("\n") == 1 and err.startswith(line)
+    assert ("--out" in argv) == out.exists()
 
 
 @pytest.mark.parametrize(

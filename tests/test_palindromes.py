@@ -74,6 +74,8 @@ class TestConjugate:
     def test_needs_factor(self):
         with pytest.raises(ValueError):
             conjugate_decomposition(w("b"), (), AB)
+        with pytest.raises(ValueError, match="need at least one palindrome"):
+            commutator_decomposition(w("b"), (), AB)
 
     @given(words(AB, 6), st.lists(palindromes(AB, 3), min_size=1, max_size=4))
     def test_certified_and_bounded(self, u, pals):

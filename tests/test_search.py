@@ -488,7 +488,7 @@ def exact_heis_length(h):
     products of two, 3 on the rest."""
     if h == HeisElement.identity():
         return 0
-    if heisenberg.is_palindrome_image(h):
+    if heisenberg.reversal_image(h) == h:
         return 1
     return 2 if heisenberg.two_palindrome_product(h) is not None else 3
 

@@ -28,7 +28,7 @@ def test_suite_passes_at_small_size(name):
 
 
 def test_unknown_suite():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         run_suite("no-such-suite")
 
 
