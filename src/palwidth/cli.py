@@ -256,6 +256,16 @@ class ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ValueError(f"{message} (see {self.prog} --help)")
 
+    def _print_message(self, message: str, file=None) -> None:
+        """Write the --help or --version text, argparse's only messages once
+        error() raises, to stdout and flush it. Argparse's own writer falls
+        back to stderr for a stdout closed at start and ignores a failed
+        write; here it reaches `run`, as a subcommand's does."""
+        if message:
+            out = _stdout()
+            out.write(message)
+            out.flush()
+
 
 def build_parser() -> ArgumentParser:
     parser = ArgumentParser(

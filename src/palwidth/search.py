@@ -26,16 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator
 
 from .palindromes import PalindromicDecomposition, check_group_certificate
 from .words import EMPTY, Alphabet, Letter, Word, follow_ups, reduce
 
 
 class BudgetExceeded(RuntimeError):
-    """A search hit its state cap, or an input is over `MAX_INPUT_SPAN`;
+    """Work over a cap: a search hit its state cap, an input is over
+    `MAX_INPUT_SPAN`, a number is over `MAX_DIGITS`, a state cap is over
+    `DEFAULT_BUDGET`, or a `verify --cases` is over `suites.MAX_CASES`.
     `completed` is a search's last finished depth (product depth or BFS
-    radius), None for an input."""
+    radius), None for the others."""
 
     def __init__(self, message: str, completed: int | None = None) -> None:
         if completed is not None:
@@ -73,22 +75,20 @@ def check_input_span(span: int, what: str) -> None:
 MAX_DIGITS = MAX_INPUT_SPAN
 
 
-# The default state cap of the command-line searches, and the largest one
-# they accept. A Z wr Z product level holds about 0.55 MB per 1,000 states,
+# The default state cap of every search, and the largest one a search
+# accepts. A Z wr Z product level holds about 0.55 MB per 1,000 states,
 # so a search that trips this cap stays inside a 1 GiB address space.
 DEFAULT_BUDGET = 1_500_000
 
 
-def check_budget(max_states: int | None) -> None:
+def check_budget(max_states: int) -> None:
     """Raise ValueError for a state cap below 1, since the identity alone is
     one state, and BudgetExceeded for one above DEFAULT_BUDGET, since a
     search may fill it before it trips. The upper bound is the command
-    line's 1 GiB contract, and it holds for a library caller's finite cap
-    too. None is no cap and bypasses the bound on purpose, for a library
-    caller (the benchmark) that sizes its own searches."""
-    if max_states is not None and max_states < 1:
+    line's 1 GiB contract, and it holds for a library caller too."""
+    if max_states < 1:
         raise ValueError("budget must be at least 1")
-    if max_states is not None and max_states > DEFAULT_BUDGET:
+    if max_states > DEFAULT_BUDGET:
         raise BudgetExceeded(f"budget is {max_states}, over the cap of {DEFAULT_BUDGET}")
 
 
@@ -155,30 +155,16 @@ def count_palindromes(alphabet: Alphabet, max_len: int) -> int:
     return first * (2 * series + odd * later**pairs)
 
 
-class PalSearchResult(NamedTuple):
-    """Outcome of `pal_length_bounded`: k and verified witness factors, or
-    unknown (k is None) within the stated bounds."""
-
-    k: int | None
-    factors: tuple[Word, ...] | None
-
-    @property
-    def found(self) -> bool:
-        return self.k is not None
-
-
 class _PalProductIndex:
     """Image sets of d-fold products of non-empty enumerated palindromes,
     with backpointers for witness reconstruction."""
 
-    def __init__(self, ev: Evaluator, max_len: int, max_states: int | None) -> None:
+    def __init__(self, ev: Evaluator, max_len: int, max_states: int = DEFAULT_BUDGET) -> None:
         check_budget(max_states)
         # level 1 has at most one state per palindrome, so once their count
         # fits under the cap, so does level 1. Each length adds a palindrome,
         # so lengths past the cap need not be counted.
-        if max_states is not None and (
-            count_palindromes(ev.alphabet, min(max_len, max_states + 1)) > max_states
-        ):
+        if count_palindromes(ev.alphabet, min(max_len, max_states + 1)) > max_states:
             raise BudgetExceeded("palindrome product index exceeded its state cap", 0)
         self.ev = ev
         self.max_states = max_states
@@ -194,7 +180,7 @@ class _PalProductIndex:
 
     def _count(self, added: int, depth: int) -> None:
         self.states += added
-        if self.max_states is not None and self.states > self.max_states:
+        if self.states > self.max_states:
             raise BudgetExceeded("palindrome product index exceeded its state cap", depth - 1)
 
     def ensure(self, depth: int) -> None:
@@ -205,7 +191,7 @@ class _PalProductIndex:
             mul = self.ev.mul
             base = self.levels[1].items()
             d = len(self.levels)
-            room = math.inf if self.max_states is None else self.max_states - self.states
+            room = self.max_states - self.states
             level: dict[Any, tuple[Word, Any]] = {}
             for enc_prev in self.levels[d - 1]:
                 for enc1, (w, _) in base:
@@ -266,9 +252,7 @@ class _PalProductIndex:
         if k == len(self.levels):
             self._joined += tried
             build = len(self.levels[k - 1]) * len(self.levels[1])
-            if self._joined >= build and (
-                self.max_states is None or self.states + build <= self.max_states
-            ):
+            if self._joined >= build and self.states + build <= self.max_states:
                 self.ensure(k)
         return found
 
@@ -287,14 +271,14 @@ def pal_length_bounded(
     target: Any,
     max_factors: int,
     max_len: int,
-    max_states: int | None = None,
-) -> PalSearchResult:
-    """Smallest k <= max_factors expressing `target` as a product of k
-    enumerated palindromes of length <= max_len, with a verified witness;
-    unknown otherwise. Absence is not a proof."""
+    max_states: int = DEFAULT_BUDGET,
+) -> tuple[Word, ...] | None:
+    """The verified factors of the least k <= max_factors expressing
+    `target` as a product of k enumerated palindromes of length <= max_len
+    (`()` for the identity), or None for unknown. Absence is not a proof."""
     check_bounds(max_factors, max_len)
     if target == ev.eval(EMPTY):
-        return PalSearchResult(0, ())
+        return ()
     index = _PalProductIndex(ev, max_len, max_states)
     for k in range(1, max_factors + 1):
         split = index.split(target, k)
@@ -302,12 +286,12 @@ def pal_length_bounded(
             factors = index.factors(k, split)
             dec = PalindromicDecomposition(math.prod(factors, start=EMPTY), factors, ev.alphabet)
             check_group_certificate(dec, ev.eval, target, k)
-            return PalSearchResult(k, factors)
-    return PalSearchResult(None, None)
+            return factors
+    return None
 
 
 def ball_table(
-    ev: Evaluator, radius: int, max_states: int | None = None
+    ev: Evaluator, radius: int, max_states: int = DEFAULT_BUDGET
 ) -> dict[Any, tuple[int, Word]]:
     """Exact minimal word lengths within a radius, with shortlex-first
     witness words: a dict from canonical encoding to (length, witness).
@@ -344,7 +328,7 @@ def ball_table(
                         nw = Word._trusted(syls + (c,))
                     entries[enc] = (depth, nw)
                     new.append(enc)
-                    if max_states is not None and len(entries) > max_states:
+                    if len(entries) > max_states:
                         raise BudgetExceeded("ball table exceeded its state cap", depth - 1)
         frontier = new
     return entries
@@ -367,7 +351,7 @@ def pal_length_histogram(
     radius: int,
     max_factors: int,
     max_len: int,
-    max_states: int | None = None,
+    max_states: int = DEFAULT_BUDGET,
 ) -> dict[str, int]:
     """Bounded palindromic-length histogram over the ball of the given
     radius; elements not expressible within the bounds count as unknown."""
@@ -382,7 +366,7 @@ def pal_length_histogram_of(
     table: dict[Any, tuple[int, Word]],
     max_factors: int,
     max_len: int,
-    max_states: int | None = None,
+    max_states: int = DEFAULT_BUDGET,
 ) -> dict[str, int]:
     """`pal_length_histogram` over the elements of a built ball table."""
     check_bounds(max_factors, max_len)

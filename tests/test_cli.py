@@ -590,8 +590,10 @@ def buffered_env() -> dict:
          "cannot write --out file: "),
         (["verify", "wreath-hom", "--cases", "5", "--out", "/dev/full"], 2,
          "cannot write --out file: "),
+        # the interpreter's last flush failed: exit 120 and an `Exception ignored` line
+        (["--version"], 1, "cannot write to stdout: "),
     ],
-    ids=["decompose-stdout", "explore-stdout", "explore-out", "verify-out"],
+    ids=["decompose-stdout", "explore-stdout", "explore-out", "verify-out", "version"],
 )
 def test_a_failed_write_is_one_error_line(argv, code, error):
     # each exited 1 with an OSError traceback: the full device fails the
@@ -679,8 +681,13 @@ def test_a_closed_stderr_keeps_the_exit_code_and_stdout(argv, code):
         # the ball goes to the --out file, and only the summary to stderr
         (["explore", "--group", "heis", "--radius", "1", "--out", "OUT"], 0, '{"elements": 5, '),
         (["decompose", "--group", "nope", "a"], 2, "error: unknown group 'nope'"),
+        # argparse wrote these to stderr instead and exited 0
+        (["--help"], 1, "error: cannot write to stdout: "),
+        (["--version"], 1, "error: cannot write to stdout: "),
+        (["verify", "--help"], 1, "error: cannot write to stdout: "),
     ],
-    ids=["decompose", "witness", "verify", "explore-csv", "explore-out", "usage"],
+    ids=["decompose", "witness", "verify", "explore-csv", "explore-out", "usage",
+         "help", "version", "verify-help"],
 )
 def test_a_stdout_closed_at_start_is_a_failed_write(tmp_path, argv, code, line):
     # Python sets sys.stdout to None when descriptor 1 is closed (`>&-`);

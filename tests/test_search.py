@@ -10,6 +10,7 @@ from palwidth import baumslag, heisenberg, wreath
 from palwidth.heisenberg import HeisElement
 from palwidth.palindromes import SelfCheckError
 from palwidth.search import (
+    DEFAULT_BUDGET,
     MAX_DIGITS,
     BudgetExceeded,
     _PalProductIndex,
@@ -190,33 +191,30 @@ class TestBallTable:
 class TestPalLengthBounded:
     def test_identity_is_zero(self):
         ev = heisenberg.evaluator()
-        res = pal_length_bounded(ev, HeisElement.identity(), 2, 4)
-        assert res.k == 0 and res.factors == ()
+        assert pal_length_bounded(ev, HeisElement.identity(), 2, 4) == ()
 
     def test_central_element_unknown_at_two(self):
         ev = heisenberg.evaluator()
-        res = pal_length_bounded(ev, HeisElement(0, 0, 1), 2, 8)
-        assert not res.found
+        assert pal_length_bounded(ev, HeisElement(0, 0, 1), 2, 8) is None
 
     def test_central_element_at_three(self):
         ev = heisenberg.evaluator()
-        res = pal_length_bounded(ev, HeisElement(0, 0, 1), 3, 8)
-        assert res.k == 3
+        factors = pal_length_bounded(ev, HeisElement(0, 0, 1), 3, 8)
+        assert len(factors) == 3
         product = Word()
-        for f in res.factors:
+        for f in factors:
             assert f.is_palindrome() and len(f) <= 8
             product = product * f
         assert heisenberg.evaluate(product) == HeisElement(0, 0, 1)
 
     def test_single_palindrome_found_at_one(self):
         ev = wreath.evaluator()
-        res = pal_length_bounded(ev, wreath.evaluate(w("aba")), 3, 4)
-        assert res.k == 1
+        assert len(pal_length_bounded(ev, wreath.evaluate(w("aba")), 3, 4)) == 1
 
     def test_ab_needs_two_in_wreath(self):
         ev = wreath.evaluator()
-        res = pal_length_bounded(ev, wreath.evaluate(w("ab")), 3, 6)
-        assert res.k == 2  # not a palindrome image, but splits as b^-1 . bab etc.
+        factors = pal_length_bounded(ev, wreath.evaluate(w("ab")), 3, 6)
+        assert len(factors) == 2  # not a palindrome image, but splits as b^-1 . bab etc.
 
     def test_monotone_in_bounds(self):
         ev = heisenberg.evaluator()
@@ -224,8 +222,8 @@ class TestPalLengthBounded:
         grid = {}
         for mf in (1, 2, 3):
             for ml in (4, 6, 8):
-                res = pal_length_bounded(ev, target, mf, ml)
-                grid[(mf, ml)] = res.k if res.found else float("inf")
+                factors = pal_length_bounded(ev, target, mf, ml)
+                grid[(mf, ml)] = float("inf") if factors is None else len(factors)
         for mf in (1, 2):
             for ml in (4, 6, 8):
                 assert grid[(mf + 1, ml)] <= grid[(mf, ml)]
@@ -244,7 +242,9 @@ class TestPalLengthBounded:
             ev = GROUPS[label]
             least = brute_pal_lengths(ev, 3, 4)
             for enc in ball_table(ev, 3):
-                assert pal_length_bounded(ev, enc, 3, 4).k == least.get(enc), (label, enc)
+                factors = pal_length_bounded(ev, enc, 3, 4)
+                k = None if factors is None else len(factors)
+                assert k == least.get(enc), (label, enc)
 
     @pytest.mark.parametrize(
         "ev, target, max_len, factors",
@@ -262,8 +262,7 @@ class TestPalLengthBounded:
         # the levels and of the join is part of the output
         if isinstance(target, str):
             target = ev.eval(parse(target, ev.alphabet))
-        res = pal_length_bounded(ev, target, 3, max_len)
-        assert [str(f) for f in res.factors] == factors
+        assert [str(f) for f in pal_length_bounded(ev, target, 3, max_len)] == factors
 
     def test_requires_positive_factors(self):
         with pytest.raises(ValueError):
@@ -330,7 +329,8 @@ class TestHistogram:
         assert calls["mul"] == 19_229 and calls["inv"] == 98
 
     @pytest.mark.parametrize(
-        "cap, mul_calls", [(98 + 9_604 - 1, 35_928), (98 + 9_604, 19_229), (None, 19_229)]
+        "cap, mul_calls",
+        [(98 + 9_604 - 1, 35_928), (98 + 9_604, 19_229), (DEFAULT_BUDGET, 19_229)],
     )
     def test_level_2_is_built_early_only_under_the_cap(self, cap, mul_calls):
         ev, calls = counting(wreath.evaluator())
@@ -349,7 +349,7 @@ class TestHistogram:
         assert calls["mul"] == 889 and calls["inv"] == 8
 
     @pytest.mark.parametrize("max_factors", [2, 3])
-    @pytest.mark.parametrize("cap", [97, 98, 7_868, 7_869, 9_701, 9_702, None])
+    @pytest.mark.parametrize("cap", [97, 98, 7_868, 7_869, 9_701, 9_702, DEFAULT_BUDGET])
     def test_early_builds_keep_every_trip_point(self, max_factors, cap):
         # |L2| = 7,771, so the lazy order trips below 98 + 7,771 = 7,869
         # states at the first target that needs three factors
@@ -376,14 +376,21 @@ class TestHistogram:
             pal_length_histogram(ev, 4, 3, 4, max_states=200)
         assert exc.value.completed == 1
 
-    @pytest.mark.parametrize("cap", [98, 103])
-    def test_an_index_over_the_cap_trips_before_evaluating_a_palindrome(self, cap):
+    @pytest.mark.parametrize(
+        "max_len, cap", [(6, (98,)), (6, (103,)), (24, ())], ids=["98", "103", "no-cap"]
+    )
+    def test_an_index_over_the_cap_trips_before_evaluating_a_palindrome(self, max_len, cap):
         # Z wr Z, max_len 6: 104 palindromes with 98 images. Their count is
         # checked before any is evaluated, so a cap below it trips at depth
-        # 0 even where the images would fit.
+        # 0 even where the images would fit. An index given no cap has
+        # DEFAULT_BUDGET, which the 2,125,760 palindromes of max_len 24 are
+        # over; an `eval` that fails the test stops one that enumerates them.
+        def refuse(word):
+            pytest.fail(f"evaluated {word}")
+
         ev, calls = counting(wreath.evaluator())
         with pytest.raises(BudgetExceeded) as exc:
-            _PalProductIndex(ev, 6, cap)
+            _PalProductIndex(dataclasses.replace(ev, eval=refuse), max_len, *cap)
         assert str(exc.value) == (
             "palindrome product index exceeded its state cap (completed depth 0)"
         )
@@ -425,7 +432,7 @@ class TestHistogram:
 def test_levels_never_shrink(ev, max_len):
     # right multiplication by one palindrome is injective, so level d + 1
     # has at least |L_d| states: the join's right level is never the larger
-    index = _PalProductIndex(ev, max_len, None)
+    index = _PalProductIndex(ev, max_len)
     index.ensure(3 if max_len == 4 else 2)
     sizes = [len(level) for level in index.levels[1:]]
     assert sizes == sorted(sizes), sizes
@@ -501,7 +508,7 @@ class TestExactOracle:
     @pytest.mark.parametrize("radius", [8, 10])
     def test_heis_engine_is_never_below_the_exact_length(self, radius):
         ev = heisenberg.evaluator()
-        index = _PalProductIndex(ev, radius, None)
+        index = _PalProductIndex(ev, radius)
         for h in ball_table(ev, radius):
             exact = exact_heis_length(h)
             if exact == 0:
@@ -513,7 +520,7 @@ class TestExactOracle:
 
     def test_wreath_engine_single_palindromes_are_decided_images(self):
         ev = wreath.evaluator()
-        index = _PalProductIndex(ev, 8, None)
+        index = _PalProductIndex(ev, 8)
         for g in ball_table(ev, 8):
             witness = wreath.palindrome_witness(g)
             if g == wreath.WreathElement.identity():
