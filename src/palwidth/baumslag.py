@@ -7,7 +7,9 @@ x -> n^dil * x + q, where q has a power-of-n denominator; the reduced
 two-integer encoding (num, den_exp) with q = num / n^den_exp makes
 equality a tuple comparison. `BSElement` is a tuple-backed record (a
 NamedTuple subclass whose constructor normalises the fraction), so its
-`==` and hash are the tuple's own.
+`==` and hash are the tuple's own. The group record's encoding is the
+plain tuple (num, den_exp, dil, n); `mul`, `inv` and `show` act on it, and
+`BSElement`'s `*`, `inverse` and `str` go through them.
 
 Every element equals t^k a^l t^-m with k, m >= 0, and then
 t^k a^l t^k . t^(-m-k) exhibits it as a product of two palindromes.
@@ -16,7 +18,6 @@ t^k a^l t^k . t^(-m-k) exhibits it as a product of two palindromes.
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
@@ -27,6 +28,15 @@ from .words import AT, Word, run_word
 def _check_parameter(n: int) -> None:
     if abs(n) < 2:
         raise ValueError(f"group parameter must satisfy |n| >= 2, got {n}")
+
+
+# The most decimal digits the parameter n of a group record may have. Every
+# product and power of the search and the certificates grows with the
+# digits of n: at --radius 10 --max-len 10 --max-factors 2, `explore` took
+# 1.1 s for n = 7, 4.1 s at 100 digits and 10.6 s at 200 (Python 3.11,
+# one core), and at --radius 5 --max-len 11 it took 6.2 s at 1,000 digits.
+MAX_PARAMETER_DIGITS = 100
+_PARAMETER_LIMIT = 10**MAX_PARAMETER_DIGITS
 
 
 # |n|^x >= 2^(x * (bit_length(|n|) - 1)), so past this many bits a power of
@@ -70,15 +80,17 @@ def _lowest_terms(num: int, den_exp: int, n: int) -> tuple[int, int]:
 
 _tuple_new = tuple.__new__
 
+Affine = tuple[int, int, int, int]  # (num, den_exp, dil, n)
 
-def _normalised(num: int, den_exp: int, dil: int, n: int) -> "BSElement":
-    """The element with translation num / n^den_exp, for den_exp >= 0 and a
+
+def _normalised(num: int, den_exp: int, dil: int, n: int) -> Affine:
+    """The encoding with translation num / n^den_exp, for den_exp >= 0 and a
     checked n, with the fraction put in lowest terms."""
     if num == 0:
         den_exp = 0
     elif den_exp and num % n == 0:
         num, den_exp = _lowest_terms(num, den_exp, n)
-    return _tuple_new(BSElement, (num, den_exp, dil, n))
+    return (num, den_exp, dil, n)
 
 
 class _BSFields(NamedTuple):
@@ -100,32 +112,19 @@ class BSElement(_BSFields):
         _check_parameter(n)
         if den_exp < 0:
             raise ValueError("den_exp must be non-negative")
-        return _normalised(num, den_exp, dil, n)
+        return _tuple_new(cls, _normalised(num, den_exp, dil, n))
 
     @classmethod
     def identity(cls, n: int) -> "BSElement":
         return cls(0, 0, 0, n)
 
     def __mul__(self, other: "BSElement") -> "BSElement":
-        num1, e1, dil1, n = self
-        num2, e2, dil2, n2 = other
-        if n != n2:
+        if self.n != other.n:
             raise ValueError("cannot multiply elements of different BS(1, n) groups")
-        # q = q1 * n^d2 + q2, over the common power-of-n denominator
-        e1 -= dil2
-        if e1 < 0:
-            num1 *= n ** (-e1)
-            e1 = 0
-        if e1 >= e2:
-            return _normalised(num1 + num2 * n ** (e1 - e2), e1, dil1 + dil2, n)
-        return _normalised(num1 * n ** (e2 - e1) + num2, e2, dil1 + dil2, n)
+        return _tuple_new(BSElement, mul(self, other))
 
     def inverse(self) -> "BSElement":
-        num, den_exp, dil, n = self
-        e = den_exp + dil
-        if e >= 0:
-            return _normalised(-num, e, -dil, n)
-        return _tuple_new(BSElement, (-num * n ** (-e), 0, -dil, n))
+        return _tuple_new(BSElement, inv(self))
 
     def to_json(self) -> dict:
         return {"num": self.num, "den_exp": self.den_exp, "dil": self.dil, "n": self.n}
@@ -140,11 +139,36 @@ class BSElement(_BSFields):
         return cls(doc["num"], doc["den_exp"], doc["dil"], doc["n"])
 
     def __str__(self) -> str:
-        # json.dumps(self.to_json(), sort_keys=True) without the encoder
-        return (
-            f'{{"den_exp": {self.den_exp}, "dil": {self.dil}, '
-            f'"n": {self.n}, "num": {self.num}}}'
-        )
+        return show(self)
+
+
+def mul(g: Affine, h: Affine) -> Affine:
+    """The product of two encodings of one BS(1, n)."""
+    num1, e1, dil1, n = g
+    num2, e2, dil2, _ = h
+    # q = q1 * n^d2 + q2, over the common power-of-n denominator
+    e1 -= dil2
+    if e1 < 0:
+        num1 *= n ** (-e1)
+        e1 = 0
+    if e1 >= e2:
+        return _normalised(num1 + num2 * n ** (e1 - e2), e1, dil1 + dil2, n)
+    return _normalised(num1 * n ** (e2 - e1) + num2, e2, dil1 + dil2, n)
+
+
+def inv(g: Affine) -> Affine:
+    num, den_exp, dil, n = g
+    e = den_exp + dil
+    if e >= 0:
+        return _normalised(-num, e, -dil, n)
+    return (-num * n ** (-e), 0, -dil, n)
+
+
+def show(g: Affine) -> str:
+    """The JSON element literal, byte for byte what
+    `json.dumps(BSElement._make(g).to_json(), sort_keys=True)` prints."""
+    num, den_exp, dil, n = g
+    return f'{{"den_exp": {den_exp}, "dil": {dil}, "n": {n}, "num": {num}}}'
 
 
 def evaluate(w: Word, n: int) -> BSElement:
@@ -219,19 +243,26 @@ def two_palindrome_decomposition(g: BSElement) -> PalindromicDecomposition:
 
 
 def evaluator(n: int) -> Evaluator:
-    """The group record of BS(1, n); its literals must carry this n."""
+    """The group record of BS(1, n); its literals must carry this n, of at
+    most MAX_PARAMETER_DIGITS digits."""
+    if abs(n) >= _PARAMETER_LIMIT:
+        raise BudgetExceeded(
+            f"the group parameter has more than {MAX_PARAMETER_DIGITS} decimal digits, "
+            "over its digit cap"
+        )
 
-    def decode(doc: object) -> BSElement:
+    def decode(doc: object) -> Affine:
         element = BSElement.from_json(doc)
         if element.n != n:
             raise ValueError(f"element has n={element.n}, group is bs:{n}")
-        return element
+        return tuple(element)
 
     return Evaluator(
         alphabet=AT,
-        eval=lambda w: evaluate(w, n),
-        mul=operator.mul,
-        inv=BSElement.inverse,
+        eval=lambda w: tuple(evaluate(w, n)),
+        mul=mul,
+        inv=inv,
+        show=show,
         decode=decode,
-        decompose=two_palindrome_decomposition,
+        decompose=lambda enc: two_palindrome_decomposition(BSElement._make(enc)),
     )

@@ -74,8 +74,9 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
-def _read_element(group: Evaluator, text: str):
-    """An element of `group` given as a JSON element literal or as word text."""
+def _read_element(group: Evaluator, text: str) -> tuple:
+    """The encoding of an element of `group` given as a JSON element literal
+    or as word text."""
     text = text.strip()
     if text.startswith(("{", "[")):
         try:
@@ -164,14 +165,16 @@ def cmd_decompose(args) -> int:
     group = lookup_group(args.group)
     element = _read_element(group, args.element)
     dec = group.decompose(element)
-    payload = _emit(args, lambda: certificate_json(args.group, dec, element.to_json()))
+    payload = _emit(
+        args, lambda: certificate_json(args.group, dec, json.loads(group.show(element)))
+    )
     if args.recheck and not recheck_certificate(json.loads(payload)):
         raise CertificateError("certificate failed re-verification on reload")
     return EXIT_OK
 
 
 def cmd_witness(args) -> int:
-    element = _read_element(lookup_group("wreath"), args.element)
+    element = wreath.WreathElement.from_flat(_read_element(lookup_group("wreath"), args.element))
     # checks [f, b] = element itself: NotInDerivedError or SelfCheckError -> exit 1
     f = wreath.commutator_witness(element)
     doc = {

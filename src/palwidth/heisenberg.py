@@ -14,7 +14,9 @@ x + z at index 0 and -z at index 1 and shift y.
 
 `HeisElement` is a plain tuple-backed record (a NamedTuple): its tuple
 equality and hash are group equality, and its `str` is the JSON literal
-[x, y, z], byte for byte what `json.dumps(h.to_json())` prints.
+[x, y, z], byte for byte what `json.dumps(h.to_json())` prints. The group
+record's encoding is the plain tuple (x, y, z); `mul`, `inv` and `show`
+act on it, and `HeisElement`'s `*`, `inverse` and `str` go through them.
 
 Palindrome images are exactly the triples with 2z = xy: they are the fixed
 points of the reversal anti-automorphism (x, y, z) -> (x, y, xy - z), and
@@ -26,7 +28,6 @@ to a linear Diophantine condition, decided exactly in
 
 from __future__ import annotations
 
-import operator
 from typing import NamedTuple
 
 from . import wreath
@@ -50,12 +51,10 @@ class HeisElement(NamedTuple):
         return cls()
 
     def __mul__(self, other: "HeisElement") -> "HeisElement":
-        x1, y1, z1 = self
-        x2, y2, z2 = other
-        return _tuple_new(HeisElement, (x1 + x2, y1 + y2, z1 + z2 + x2 * y1))
+        return _tuple_new(HeisElement, mul(self, other))
 
     def inverse(self) -> "HeisElement":
-        return HeisElement(-self.x, -self.y, self.x * self.y - self.z)
+        return _tuple_new(HeisElement, inv(self))
 
     def to_json(self) -> list[int]:
         return [self.x, self.y, self.z]
@@ -71,7 +70,26 @@ class HeisElement(NamedTuple):
         return cls(*doc)
 
     def __str__(self) -> str:
-        return f"[{self.x}, {self.y}, {self.z}]"
+        return show(self)
+
+
+Triple = tuple[int, int, int]
+
+
+def mul(g: Triple, h: Triple) -> Triple:
+    x1, y1, z1 = g
+    x2, y2, z2 = h
+    return (x1 + x2, y1 + y2, z1 + z2 + x2 * y1)
+
+
+def inv(g: Triple) -> Triple:
+    x, y, z = g
+    return (-x, -y, x * y - z)
+
+
+def show(g: Triple) -> str:
+    """The JSON element literal [x, y, z]."""
+    return "[%d, %d, %d]" % g
 
 
 def evaluate(w: Word) -> HeisElement:
@@ -177,9 +195,10 @@ def evaluator() -> Evaluator:
     """The group record of N_{2,2}."""
     return Evaluator(
         alphabet=AB,
-        eval=evaluate,
-        mul=operator.mul,
-        inv=HeisElement.inverse,
-        decode=HeisElement.from_json,
-        decompose=three_palindrome_decomposition,
+        eval=lambda w: tuple(evaluate(w)),
+        mul=mul,
+        inv=inv,
+        show=show,
+        decode=lambda doc: tuple(HeisElement.from_json(doc)),
+        decompose=lambda enc: three_palindrome_decomposition(HeisElement._make(enc)),
     )

@@ -3,9 +3,12 @@ tabulation, and bounded palindromic-length search.
 
 Everything is parameterized by an `Evaluator`, the one record that
 defines a group: an alphabet, an exact evaluation map from reduced words
-to canonical, hashable encodings (equal encodings iff equal group
-elements, `str` giving the element literal), `mul`/`inv` on encodings,
-and the JSON codec and certificate routine the command line uses.
+to encodings, `mul`/`inv` on encodings, `show` for their text, and the
+JSON decoder and certificate routine the command line uses. An encoding
+is a plain tuple of ints, canonical (equal encodings iff equal group
+elements), so the engine hashes and compares it as a tuple; each group
+module converts between it and its element class at the record's
+boundary.
 
 `mul` drives both searches. The ball BFS multiplies each frontier
 element by the generator images instead of re-evaluating whole words.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from .palindromes import PalindromicDecomposition, check_group_certificate
-from .words import EMPTY, Alphabet, Letter, Word, follow_ups, reduce
+from .words import _TOKENS, EMPTY, Alphabet, Letter, Syllable, Word, follow_ups, reduce
 
 
 class BudgetExceeded(RuntimeError):
@@ -76,8 +79,10 @@ MAX_DIGITS = MAX_INPUT_SPAN
 
 
 # The default state cap of every search, and the largest one a search
-# accepts. A Z wr Z product level holds about 0.55 MB per 1,000 states,
-# so a search that trips this cap stays inside a 1 GiB address space.
+# accepts. A Z wr Z product level holds about 0.28 MB per 1,000 states
+# (flat tuple keys; CI's capped explore call trips the cap at a 434 MB
+# peak), so a search that trips this cap stays inside a 1 GiB address
+# space.
 DEFAULT_BUDGET = 1_500_000
 
 
@@ -102,14 +107,24 @@ def check_digits(value: int, what: str) -> None:
         )
 
 
+# encoding -> (minimal word length, syllables of the shortlex-first witness)
+Ball = dict[tuple, tuple[int, tuple[Syllable, ...]]]
+
+
 @dataclass(frozen=True)
 class Evaluator:
+    """The record of one group, on its encodings: plain tuples of ints,
+    equal exactly when the elements are. `show` gives an encoding's JSON
+    element literal, byte for byte the `str` of the element class, and
+    `decode` reads such a literal's JSON document."""
+
     alphabet: Alphabet
-    eval: Callable[[Word], Any]
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
-    decode: Callable[[Any], Any]  # JSON element literal -> encoding
-    decompose: Callable[[Any], PalindromicDecomposition]
+    eval: Callable[[Word], tuple]
+    mul: Callable[[tuple, tuple], tuple]
+    inv: Callable[[tuple], tuple]
+    show: Callable[[tuple], str]
+    decode: Callable[[Any], tuple]
+    decompose: Callable[[tuple], PalindromicDecomposition]
 
 
 def enumerate_reduced_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
@@ -292,9 +307,9 @@ def pal_length_bounded(
 
 def ball_table(
     ev: Evaluator, radius: int, max_states: int = DEFAULT_BUDGET
-) -> dict[Any, tuple[int, Word]]:
+) -> Ball:
     """Exact minimal word lengths within a radius, with shortlex-first
-    witness words: a dict from canonical encoding to (length, witness).
+    witness words: a dict from encoding to (length, witness syllables).
 
     A breadth-first closure of generator multiplication from the identity.
     Each depth extends the previous frontier, in shortlex order, by every
@@ -305,14 +320,13 @@ def ball_table(
         raise ValueError("radius must be non-negative")
     check_budget(max_states)
     identity = ev.eval(EMPTY)
-    entries: dict[Any, tuple[int, Word]] = {identity: (0, EMPTY)}
-    frontier: list[Any] = [identity]
+    entries: Ball = {identity: (0, ())}
+    frontier: list[tuple] = [(identity, ())]  # (encoding, witness syllables)
     steps = [(c, ev.eval(Word((c,)))) for c in ev.alphabet.letters()]
     mul = ev.mul
     for depth in range(1, radius + 1):
-        new: list[Any] = []
-        for enc_w in frontier:
-            syls = entries[enc_w][1].syllables
+        new: list[tuple] = []
+        for enc_w, syls in frontier:
             last_gen, last_exp = syls[-1] if syls else (None, 0)
             for c, enc_c in steps:
                 gen, sign = c
@@ -323,27 +337,34 @@ def ball_table(
                     # reduced by construction: the letter lengthens the last
                     # syllable with its own sign or starts a new generator
                     if gen == last_gen:
-                        nw = Word._trusted(syls[:-1] + ((gen, last_exp + sign),))
+                        nw = syls[:-1] + ((gen, last_exp + sign),)
                     else:
-                        nw = Word._trusted(syls + (c,))
+                        nw = syls + (c,)
                     entries[enc] = (depth, nw)
-                    new.append(enc)
+                    new.append((enc, nw))
                     if len(entries) > max_states:
                         raise BudgetExceeded("ball table exceeded its state cap", depth - 1)
         frontier = new
     return entries
 
 
-def write_ball_csv(table: dict[Any, tuple[int, Word]], ev: Evaluator, out) -> None:
+def write_ball_csv(table: Ball, ev: Evaluator, out) -> None:
     """CSV with columns normal_form, min_length, witness, in deterministic
     (length, shortlex witness) order, which is the order `ball_table`
-    inserts its entries in; `ev` is not needed for that."""
-    import csv  # only this writer needs it, so other calls skip its import
-
-    writer = csv.writer(out)
-    writer.writerow(["normal_form", "min_length", "witness"])
-    for enc, (length, witness) in table.items():
-        writer.writerow([str(enc), length, str(witness)])
+    inserts its entries in: the bytes `csv.writer` writes, with its CRLF
+    line ends and its quoting. That quotes every element literal, since
+    each holds a comma, and doubles its double quotes; a witness is
+    generator letters, exponents and spaces, which need no quotes. Each row
+    is its own write, as `csv.writer` makes it: a write larger than the
+    stream's buffer goes to the OS at once, and on a pipe closed part way
+    Python reports the part written as the whole, so the failed write
+    would go unseen."""
+    show, token = ev.show, _TOKENS.__getitem__
+    write = out.write
+    write("normal_form,min_length,witness\r\n")
+    for enc, (length, syls) in table.items():
+        literal = show(enc).replace('"', '""')
+        write(f'"{literal}",{length},{" ".join(map(token, syls))}\r\n')
 
 
 def pal_length_histogram(
@@ -363,7 +384,7 @@ def pal_length_histogram(
 
 def pal_length_histogram_of(
     ev: Evaluator,
-    table: dict[Any, tuple[int, Word]],
+    table: Ball,
     max_factors: int,
     max_len: int,
     max_states: int = DEFAULT_BUDGET,

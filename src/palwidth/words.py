@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import eq, itemgetter
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 Letter = tuple[str, int]  # (generator name, +1 or -1)
 Syllable = tuple[str, int]  # (generator name, nonzero exponent)
@@ -274,20 +274,28 @@ def _scan(text: str, alphabet: Alphabet) -> list[Syllable]:
     return syllables
 
 
+def _token(gen: str, exp: int) -> str:
+    return gen if exp == 1 else f"{gen}^{exp}"
+
+
 class _TokenTable(dict):
-    """Syllable -> its text token, formed on a miss. It remembers at most
-    `SIZE` tokens of at most `LONGEST` characters, so neither many distinct
-    syllables nor huge exponents make it grow past a fixed size."""
+    """Key -> its text, formed by `form(*key)` on a miss, by default a
+    syllable -> its token. It remembers at most `SIZE` texts of at most
+    `LONGEST` characters, so neither many distinct keys nor huge numbers
+    make it grow past a fixed size."""
 
     SIZE = 4096
     LONGEST = 24
 
-    def __missing__(self, syllable: Syllable) -> str:
-        gen, exp = syllable
-        token = gen if exp == 1 else f"{gen}^{exp}"
-        if len(self) < self.SIZE and len(token) <= self.LONGEST:
-            self[syllable] = token
-        return token
+    def __init__(self, form: Callable[..., str] = _token) -> None:
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, key: tuple) -> str:
+        text = self.form(*key)
+        if len(self) < self.SIZE and len(text) <= self.LONGEST:
+            self[key] = text
+        return text
 
 
 _TOKENS = _TokenTable()

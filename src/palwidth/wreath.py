@@ -10,7 +10,12 @@ Conventions, from which everything else is derived:
     zero exponent. The form is unique, so `WreathElement` is a plain
     tuple-backed record (a NamedTuple) whose own tuple equality and hash
     decide group equality; its `str` is the JSON element literal, byte for
-    byte what `json.dumps(g.to_json(), sort_keys=True)` prints.
+    byte what `json.dumps(g.to_json(), sort_keys=True)` prints;
+  * the group record's encoding of tail * b^shift is the flat tuple
+    (shift, i1, e1, i2, e2, ...) of the same pairs (`WreathElement.to_flat`),
+    one tuple per element. `mul`, `inv` and `show` act on it, and
+    `WreathElement`'s `*`, `inverse` and `str` go through them, so each
+    rule is written once.
 
 `evaluate` sends a to the unit lamp at index 0 and b to a bare shift; its
 homomorphism property is the binding contract that pins every sign choice,
@@ -42,15 +47,14 @@ The three constructive procedures:
 from __future__ import annotations
 
 import math
-import operator
 import re
-from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
 from . import search
 from .search import BudgetExceeded, Evaluator, check_digits, check_input_span
-from .words import AB, Word, run_word
+from .words import AB, Word, _TokenTable, run_word
 
 
 class NotInDerivedError(ValueError):
@@ -58,6 +62,7 @@ class NotInDerivedError(ValueError):
 
 
 Tail = tuple[tuple[int, int], ...]
+Flat = tuple[int, ...]  # (shift, i1, e1, i2, e2, ...), the indices ascending
 
 _tuple_new = tuple.__new__
 
@@ -98,28 +103,20 @@ class WreathElement(NamedTuple):
     def identity(cls) -> "WreathElement":
         return cls()
 
+    @classmethod
+    def from_flat(cls, enc: Flat) -> "WreathElement":
+        """The element of a flat encoding."""
+        return _tuple_new(cls, (tuple(zip(enc[1::2], enc[2::2])), enc[0]))
+
+    def to_flat(self) -> Flat:
+        """The flat encoding (shift, i1, e1, i2, e2, ...) of the element."""
+        return (self.shift, *chain.from_iterable(self.tail))
+
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        tail, s = self
-        right, shift = other
-        shift += s
-        if not right:  # a pure shift moves no lamp
-            return _tuple_new(WreathElement, (tail, shift))
-        if len(right) == 1:  # one lamp, as in every step by a^±1
-            ((i, e),) = right
-            i -= s
-            k = bisect_left(tail, (i,))  # (i,) sorts before every (i, e)
-            if k < len(tail) and tail[k][0] == i:
-                e += tail[k][1]
-                tail = tail[:k] + (((i, e),) if e else ()) + tail[k + 1 :]
-            else:
-                tail = tail[:k] + ((i, e),) + tail[k:]
-        else:
-            tail = _merge(tail, right, -s)
-        return _tuple_new(WreathElement, (tail, shift))
+        return WreathElement.from_flat(mul(self.to_flat(), other.to_flat()))
 
     def inverse(self) -> "WreathElement":
-        s = self.shift
-        return WreathElement(tuple((i + s, -e) for i, e in self.tail), -s)
+        return WreathElement.from_flat(inv(self.to_flat()))
 
     def in_derived_subgroup(self) -> bool:
         return self.shift == 0 and sum(e for _, e in self.tail) == 0
@@ -152,12 +149,60 @@ class WreathElement(NamedTuple):
         return cls.of(pairs, shift)
 
     def __str__(self) -> str:
-        # json.dumps(self.to_json(), sort_keys=True) without the encoder: the
-        # support keys sort as strings, so "-1" < "-10" < "-2" < "0" < "10" <
-        # "2". Sorting the entries '"k": e' gives that order, because the
-        # closing quote sorts before every digit and the keys are distinct.
-        lamps = ", ".join(sorted([f'"{i}": {e}' for i, e in self.tail]))
-        return f'{{"shift": {self.shift}, "support": {{{lamps}}}}}'
+        return show(self.to_flat())
+
+
+def mul(g: Flat, h: Flat) -> Flat:
+    """The product of two flat encodings: (F, s)(G, t) = (F + G moved by -s,
+    s + t), in one merge of the two ascending lamp lists, where exponents
+    at a shared index add up and a zero sum drops."""
+    s = g[0]
+    n, m = len(g), len(h)
+    if m == 1:  # a pure shift moves no lamp
+        return (s + h[0],) + g[1:]
+    out = [s + h[0]]
+    i = j = 1
+    while i < n and j < m:
+        a, b = g[i], h[j] - s
+        if a < b:
+            out += g[i : i + 2]
+            i += 2
+        elif b < a:
+            out += (b, h[j + 1])
+            j += 2
+        else:
+            e = g[i + 1] + h[j + 1]
+            if e:
+                out += (a, e)
+            i += 2
+            j += 2
+    out += g[i:]
+    for k in range(j, m, 2):
+        out += (h[k] - s, h[k + 1])
+    return tuple(out)
+
+
+def inv(g: Flat) -> Flat:
+    """The inverse of a flat encoding: (F, s)^-1 = (-F moved by s, -s)."""
+    s = g[0]
+    out = [-s]
+    for k in range(1, len(g), 2):
+        out += (g[k] + s, -g[k + 1])
+    return tuple(out)
+
+
+# the text '"i": e' of each lamp, for `show`
+_LAMPS = _TokenTable(lambda i, e: f'"{i}": {e}')
+
+
+def show(g: Flat) -> str:
+    """The JSON element literal of a flat encoding, byte for byte what
+    `json.dumps(WreathElement.from_flat(g).to_json(), sort_keys=True)`
+    prints. The support keys sort as strings, so "-1" < "-10" < "-2" < "0"
+    < "10" < "2": sorting the entries '"i": e' gives that order, because
+    the closing quote sorts before every digit and the keys are distinct."""
+    lamps = ", ".join(sorted(map(_LAMPS.__getitem__, zip(g[1::2], g[2::2]))))
+    return f'{{"shift": {g[0]}, "support": {{{lamps}}}}}'
 
 
 def evaluate(w: Word) -> WreathElement:
@@ -392,9 +437,10 @@ def evaluator() -> Evaluator:
     """The group record of Z wr Z."""
     return Evaluator(
         alphabet=AB,
-        eval=evaluate,
-        mul=operator.mul,
-        inv=WreathElement.inverse,
-        decode=WreathElement.from_json,
-        decompose=three_palindrome_decomposition,
+        eval=lambda w: evaluate(w).to_flat(),
+        mul=mul,
+        inv=inv,
+        show=show,
+        decode=lambda doc: WreathElement.from_json(doc).to_flat(),
+        decompose=lambda enc: three_palindrome_decomposition(WreathElement.from_flat(enc)),
     )

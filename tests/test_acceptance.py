@@ -168,7 +168,8 @@ def test_c9_engine_soundness():
     start = time.perf_counter()
     for ev in (wreath.evaluator(), heisenberg.evaluator(), baumslag.evaluator(2)):
         table = ball_table(ev, 3)
-        for enc, (length, witness) in table.items():
+        for enc, (length, syllables) in table.items():
+            witness = Word(syllables)
             assert len(witness) == length
             assert ev.eval(witness) == enc
     hev = heisenberg.evaluator()

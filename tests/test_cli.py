@@ -496,12 +496,13 @@ class TestLookupGroup:
         for label, word in (("wreath", "a b a^-2"), ("heis", "a b a^-2"), ("bs:3", "t a t^-2")):
             group = lookup_group(label)
             g = group.eval(parse(word, group.alphabet))
-            assert group.decode(json.loads(json.dumps(g.to_json()))) == g
+            assert group.decode(json.loads(group.show(g))) == g
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_SPACE = 1 << 30  # bytes
-HUGE_BS = "bs:" + "7" * 1000
+# the longest group parameter a record takes
+HUGE_BS = "bs:" + "7" * baumslag.MAX_PARAMETER_DIGITS
 
 
 def run_capped(*argv, address_space=ADDRESS_SPACE):
@@ -538,7 +539,7 @@ print(json.dumps([code, [m for m in ("palwidth.suites", "fractions", "csv") if m
         (["decompose", "--group", "wreath", "B a b b a B", "--recheck"], []),
         (["decompose", "--group", "bs:2", "t a", "--recheck"], []),
         (["witness", "a b A B"], []),
-        (["explore", "--group", "heis", "--radius", "2"], ["csv"]),
+        (["explore", "--group", "heis", "--radius", "2"], []),
         (["explore", "--group", "bs:2", "--radius", "2", "--max-len", "2", "--max-factors", "2"], []),
         (["verify", "bs-roundtrip", "--cases", "10"], ["palwidth.suites"]),
     ],
@@ -948,7 +949,7 @@ class TestInputCap:
         )
 
     def test_huge_group_parameter_exits_with_the_budget_code(self):
-        # n^50000 for a 1,000-digit n would have 5 * 10^7 digits; the power
+        # n^50000 for a 100-digit n would have 5 * 10^6 digits; the power
         # is refused before it is formed
         proc, seconds = run_capped("decompose", "--group", HUGE_BS, "t^-50000 a t^50000")
         assert proc.returncode == 3, proc.stderr
@@ -1021,6 +1022,29 @@ class TestInputCap:
         else:
             assert proc.stdout == ""
             assert proc.stderr == f"error: max_factors is {max_factors}, over the input cap of 100000\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # 1,000 digits took 6.2 s here, and 3,000 took 40 s, before the cap
+            (["explore", "--group", HUGE_BS, "--radius", "5", "--max-len", "11",
+              "--max-factors", "2"], 0),
+            (["explore", "--group", "bs:" + "7" * 101, "--radius", "5", "--max-len", "11",
+              "--max-factors", "2"], 3),
+            (["explore", "--group", "bs:-" + "7" * 3_000, "--radius", "0"], 3),
+            (["decompose", "--group", "bs:" + "7" * 99_999, "t a"], 3),
+        ],
+        ids=["at-the-cap", "one-over", "3000-digits", "99999-digits"],
+    )
+    def test_group_parameter_digit_cap(self, argv, code):
+        proc, seconds = run_capped(*argv)
+        assert proc.returncode == code, proc.stderr[-1000:]
+        assert seconds < 5
+        if code == 3:
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                "error: the group parameter has more than 100 decimal digits, over its digit cap\n"
+            )
 
     def test_huge_group_parameter_zero_translation_certifies(self):
         # the normal form t^0 a^0 t^-90000 needs no power of n

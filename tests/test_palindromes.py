@@ -219,7 +219,7 @@ class TestOneSelfCheck:
             (heisenberg, lambda: heisenberg.two_palindrome_product(
                 heisenberg.evaluate(w("a b a b")))),
             (search, lambda: search.pal_length_bounded(
-                wreath.evaluator(), wreath.evaluate(w("ab")), 2, 1)),
+                wreath.evaluator(), wreath.evaluator().eval(w("ab")), 2, 1)),
         ],
         ids=["conjugate", "commutator", "wreath-three", "wreath-palindrome",
              "bs-two", "heis-two", "search"],
@@ -234,7 +234,7 @@ class TestOneSelfCheck:
         monkeypatch.setattr(search._PalProductIndex, "factors", lambda self, k, split: (w("ab"),))
         message = "^certificate invalid: factor 'a b' is not a palindrome$"
         with pytest.raises(SelfCheckError, match=message):
-            search.pal_length_bounded(wreath.evaluator(), wreath.evaluate(w("ab")), 2, 1)
+            search.pal_length_bounded(wreath.evaluator(), wreath.evaluator().eval(w("ab")), 2, 1)
 
     @pytest.mark.parametrize("pals", [(w("a"), w("a")), (w("a"),)], ids=["even", "odd"])
     def test_a_conjugate_over_its_bound(self, monkeypatch, pals):

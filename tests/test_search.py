@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import io
 import itertools
@@ -7,6 +8,7 @@ import pytest
 from strategies import shortlex_key
 
 from palwidth import baumslag, heisenberg, wreath
+from palwidth.cli import lookup_group
 from palwidth.heisenberg import HeisElement
 from palwidth.palindromes import SelfCheckError
 from palwidth.search import (
@@ -24,7 +26,7 @@ from palwidth.search import (
     pal_length_histogram_of,
     write_ball_csv,
 )
-from palwidth.words import AB, AT, EMPTY, Word, parse, reduce
+from palwidth.words import AB, AT, EMPTY, Word, format_word, parse, reduce
 
 
 def w(text):
@@ -39,12 +41,12 @@ GROUPS = {
 
 
 def brute_ball(ev, radius):
-    """Minimal length and shortlex-first witness of every element, found by
-    evaluating every reduced word of length <= radius."""
+    """Minimal length and shortlex-first witness syllables of every element,
+    found by evaluating every reduced word of length <= radius."""
     ball = {}
     for n in range(radius + 1):
         for word in enumerate_reduced_words(ev.alphabet, n):
-            ball.setdefault(ev.eval(word), (n, word))
+            ball.setdefault(ev.eval(word), (n, word.syllables))
     return ball
 
 
@@ -129,7 +131,7 @@ class TestBallTable:
     def test_radius_zero(self):
         table = ball_table(heisenberg.evaluator(), 0)
         assert len(table) == 1
-        assert table[HeisElement.identity()] == (0, EMPTY)
+        assert table[HeisElement.identity()] == (0, ())
 
     def test_wreath_radius_one(self):
         table = ball_table(wreath.evaluator(), 1)
@@ -139,15 +141,16 @@ class TestBallTable:
         ev = heisenberg.evaluator()
         assert HeisElement(0, 0, 1) not in ball_table(ev, 2)
         table = ball_table(ev, 4)
-        length, witness = table[HeisElement(0, 0, 1)]
+        length, syllables = table[HeisElement(0, 0, 1)]
         assert length == 4
-        assert heisenberg.evaluate(witness) == HeisElement(0, 0, 1)
+        assert heisenberg.evaluate(Word(syllables)) == HeisElement(0, 0, 1)
 
     def test_lengths_match_witnesses(self):
         table = ball_table(wreath.evaluator(), 4)
-        for enc, (length, witness) in table.items():
+        for enc, (length, syllables) in table.items():
+            witness = Word(syllables)
             assert len(witness) == length
-            assert wreath.evaluate(witness) == enc
+            assert wreath.evaluate(witness).to_flat() == enc
 
     def test_against_brute_force_oracle(self):
         # oracle: minimal length and shortlex-first witness over all reduced words
@@ -161,7 +164,7 @@ class TestBallTable:
         assert table == brute_ball(ev, 5)
         # the BFS inserts in (length, shortlex witness) order, which the
         # multiplication BFS relies on to keep shortlex-first witnesses
-        order = [(n, shortlex_key(word, ev.alphabet)) for n, word in table.values()]
+        order = [(n, shortlex_key(Word(syls), ev.alphabet)) for n, syls in table.values()]
         assert order == sorted(order)
 
     def test_determinism(self):
@@ -178,6 +181,32 @@ class TestBallTable:
         with pytest.raises(BudgetExceeded) as exc:
             ball_table(heisenberg.evaluator(), 6, max_states=10)
         assert exc.value.completed >= 0
+
+    @pytest.mark.parametrize(
+        "label, radius",
+        [("wreath", 11), ("wreath", 0), ("heis", 8), ("bs:2", 8), ("bs:-2", 8)],
+    )
+    def test_csv_is_what_csv_writer_writes(self, label, radius):
+        # wreath at radius 11 reaches the two-digit lamp keys ±10; radius 0
+        # is the identity alone, with an empty witness
+        ev = lookup_group(label)
+        element = {
+            "wreath": wreath.WreathElement.from_flat,
+            "heis": HeisElement._make,
+        }.get(label, baumslag.BSElement._make)
+        table = ball_table(ev, radius)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["normal_form", "min_length", "witness"])
+        for enc, (length, syllables) in table.items():
+            writer.writerow([str(element(enc)), length, format_word(Word(syllables))])
+        got = io.StringIO()
+        write_ball_csv(table, ev, got)
+        # the first row that differs, not a diff of megabytes
+        rows = itertools.zip_longest(
+            got.getvalue().splitlines(True), expected.getvalue().splitlines(True)
+        )
+        assert next((pair for pair in rows if pair[0] != pair[1]), None) is None
 
     def test_csv_shape(self):
         buf = io.StringIO()
@@ -209,11 +238,11 @@ class TestPalLengthBounded:
 
     def test_single_palindrome_found_at_one(self):
         ev = wreath.evaluator()
-        assert len(pal_length_bounded(ev, wreath.evaluate(w("aba")), 3, 4)) == 1
+        assert len(pal_length_bounded(ev, ev.eval(w("aba")), 3, 4)) == 1
 
     def test_ab_needs_two_in_wreath(self):
         ev = wreath.evaluator()
-        factors = pal_length_bounded(ev, wreath.evaluate(w("ab")), 3, 6)
+        factors = pal_length_bounded(ev, ev.eval(w("ab")), 3, 6)
         assert len(factors) == 2  # not a palindrome image, but splits as b^-1 . bab etc.
 
     def test_monotone_in_bounds(self):
@@ -283,7 +312,7 @@ class TestPalLengthBounded:
         ev = wreath.evaluator()
         liar = dataclasses.replace(ev, eval=lambda u: ev.eval(u if len(u) <= 1 else EMPTY))
         with pytest.raises(SelfCheckError, match="target does not evaluate to the element"):
-            pal_length_bounded(liar, wreath.evaluate(w("ab")), 2, 1)
+            pal_length_bounded(liar, ev.eval(w("ab")), 2, 1)
 
 
 class TestHistogram:
@@ -509,7 +538,8 @@ class TestExactOracle:
     def test_heis_engine_is_never_below_the_exact_length(self, radius):
         ev = heisenberg.evaluator()
         index = _PalProductIndex(ev, radius)
-        for h in ball_table(ev, radius):
+        for enc in ball_table(ev, radius):
+            h = HeisElement._make(enc)
             exact = exact_heis_length(h)
             if exact == 0:
                 continue
@@ -521,11 +551,12 @@ class TestExactOracle:
     def test_wreath_engine_single_palindromes_are_decided_images(self):
         ev = wreath.evaluator()
         index = _PalProductIndex(ev, 8)
-        for g in ball_table(ev, 8):
+        for enc in ball_table(ev, 8):
+            g = wreath.WreathElement.from_flat(enc)
             witness = wreath.palindrome_witness(g)
             if g == wreath.WreathElement.identity():
                 assert witness == EMPTY
-            elif index.split(g, 1) is not None:
+            elif index.split(enc, 1) is not None:
                 assert witness is not None, g
             elif witness is not None:
                 assert len(witness) > 8, g

@@ -325,7 +325,8 @@ class TestThreePalindromes:
     def test_single_factor_exactly_on_palindrome_images(self):
         # a symmetric tail makes the canonical word a palindrome, so the
         # certificate of every palindrome image is that one word
-        for g in search.ball_table(evaluator(), 6):
+        for enc in search.ball_table(evaluator(), 6):
+            g = WreathElement.from_flat(enc)
             dec = three_palindrome_decomposition(g)
             assert (dec.length <= 1) == (palindrome_witness(g) is not None), g
 
@@ -481,7 +482,7 @@ class TestClassify:
 
     def test_agrees_with_enumeration_on_the_radius_8_ball(self):
         images = {evaluate(p) for p in enumerate_palindromes(AB, 16)}
-        table = search.ball_table(evaluator(), 8)
+        table = [WreathElement.from_flat(enc) for enc in search.ball_table(evaluator(), 8)]
         assert len(table) == 7537
         accepted = 0
         for g in table:
@@ -490,7 +491,7 @@ class TestClassify:
                 accepted += 1
             else:
                 assert palindrome_witness(g) is None, g
-        assert accepted == len(images & table.keys())
+        assert accepted == len(images & set(table))
 
     def test_literal_shape_false_positives_are_rejected(self):
         assert len(LITERAL_SHAPE_FALSE_POSITIVES) == 76
