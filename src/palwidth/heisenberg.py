@@ -12,11 +12,10 @@ palindromic word maps to the same palindromic word, so
 `three_palindrome_decomposition` certifies (x, y, z) by a lift with lamps
 x + z at index 0 and -z at index 1 and shift y.
 
-`HeisElement` is a plain tuple-backed record (a NamedTuple): its tuple
-equality and hash are group equality, and its `str` is the JSON literal
-[x, y, z], byte for byte what `json.dumps(h.to_json())` prints. The group
-record's encoding is the plain tuple (x, y, z); `mul`, `inv` and `show`
-act on it, and `HeisElement`'s `*`, `inverse` and `str` go through them.
+`HeisElement` is a NamedTuple laid out as the group record's encoding,
+the plain tuple (x, y, z), so its tuple equality and hash are group
+equality. `mul`, `inv` and `show` act on that tuple and are its `*`,
+`inverse` and `str`, the JSON literal [x, y, z].
 
 Palindrome images are exactly the triples with 2z = xy: they are the fixed
 points of the reversal anti-automorphism (x, y, z) -> (x, y, xy - z), and
@@ -28,6 +27,7 @@ to a linear Diophantine condition, decided exactly in
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from . import wreath
@@ -109,11 +109,8 @@ def evaluate(w: Word) -> HeisElement:
 
 def from_wreath(g: WreathElement) -> HeisElement:
     """The quotient homomorphism: a_i -> (1, 0, -i), shift -> y."""
-    return HeisElement(
-        sum(e for _, e in g.tail),
-        g.shift,
-        -sum(i * e for i, e in g.tail),
-    )
+    exponents = g[2::2]
+    return HeisElement(sum(exponents), g[0], -sum(map(operator.mul, g[1::2], exponents)))
 
 
 def reversal_image(h: HeisElement) -> HeisElement:

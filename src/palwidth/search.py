@@ -6,9 +6,9 @@ defines a group: an alphabet, an exact evaluation map from reduced words
 to encodings, `mul`/`inv` on encodings, `show` for their text, and the
 JSON decoder and certificate routine the command line uses. An encoding
 is a plain tuple of ints, canonical (equal encodings iff equal group
-elements), so the engine hashes and compares it as a tuple; each group
-module converts between it and its element class at the record's
-boundary.
+elements), so the engine hashes and compares it as a tuple. Each group's
+element class is a tuple subclass in the same layout, so the record's
+boundary copies a tuple and converts nothing.
 
 `mul` drives both searches. The ball BFS multiplies each frontier
 element by the generator images instead of re-evaluating whole words.
@@ -36,11 +36,11 @@ from .words import _TOKENS, EMPTY, Alphabet, Letter, Syllable, Word, follow_ups,
 
 
 class BudgetExceeded(RuntimeError):
-    """Work over a cap: a search hit its state cap, an input is over
-    `MAX_INPUT_SPAN`, a number is over `MAX_DIGITS`, a state cap is over
-    `DEFAULT_BUDGET`, or a `verify --cases` is over `suites.MAX_CASES`.
-    `completed` is a search's last finished depth (product depth or BFS
-    radius), None for the others."""
+    """Work over a cap: a search hit its state cap or `MAX_JOINS`, an
+    input is over `MAX_INPUT_SPAN`, a number is over `MAX_DIGITS`, a state
+    cap is over `DEFAULT_BUDGET`, or a `verify --cases` is over
+    `suites.MAX_CASES`. `completed` is a search's last finished depth
+    (product depth or BFS radius), None for the others."""
 
     def __init__(self, message: str, completed: int | None = None) -> None:
         if completed is not None:
@@ -84,6 +84,13 @@ MAX_DIGITS = MAX_INPUT_SPAN
 # peak), so a search that trips this cap stays inside a 1 GiB address
 # space.
 DEFAULT_BUDGET = 1_500_000
+
+
+# The most products the joins of one product index try in all: each undecided
+# target tries a whole level. Twice the state cap, which one target never
+# reaches; a histogram trips it after 3-5 s for bs:2 and Z wr Z at --max-len
+# 14, and 12.3 s for a 100-digit n (4 us a product; Python 3.11.7, one core).
+MAX_JOINS = 2 * DEFAULT_BUDGET
 
 
 def check_budget(max_states: int) -> None:
@@ -190,6 +197,7 @@ class _PalProductIndex:
                 level1.setdefault(ev.eval(w), (w, None))
         self.levels: list[dict[Any, tuple[Word, Any]]] = [{}, level1]
         self._inverses: dict[int, list[tuple[Any, Any]]] = {}
+        self.joins = 0  # products tried by all joins
         self._joined = 0  # products tried by joins into level len(levels)
         self.states = len(level1)
 
@@ -264,6 +272,9 @@ class _PalProductIndex:
             if need in lhs:
                 tried, found = i, (need, enc_r)
                 break
+        self.joins += tried
+        if self.joins > MAX_JOINS:
+            raise BudgetExceeded("palindrome product joins exceeded their cap", k - 1)
         if k == len(self.levels):
             self._joined += tried
             build = len(self.levels[k - 1]) * len(self.levels[1])

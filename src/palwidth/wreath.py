@@ -5,17 +5,12 @@ Conventions, from which everything else is derived:
   * a_i denotes b^-i a b^i, so a_0 = a and conjugating by b^k moves the
     lamp at index i to index i + k;
   * an element is tail * b^shift with tail a finitely supported map from
-    lamp indices to integer exponents, stored as a tuple of
-    (index, exponent) pairs in strictly ascending index order with no
-    zero exponent. The form is unique, so `WreathElement` is a plain
-    tuple-backed record (a NamedTuple) whose own tuple equality and hash
-    decide group equality; its `str` is the JSON element literal, byte for
-    byte what `json.dumps(g.to_json(), sort_keys=True)` prints;
-  * the group record's encoding of tail * b^shift is the flat tuple
-    (shift, i1, e1, i2, e2, ...) of the same pairs (`WreathElement.to_flat`),
-    one tuple per element. `mul`, `inv` and `show` act on it, and
-    `WreathElement`'s `*`, `inverse` and `str` go through them, so each
-    rule is written once.
+    lamp indices to integer exponents. `WreathElement` is the flat tuple
+    (shift, i1, e1, i2, e2, ...) of its lamps in strictly ascending index
+    order with no zero exponent, which is also the group record's encoding.
+    The form is unique, so tuple equality and hash decide group equality.
+    `mul`, `inv` and `show` act on it and are its `*`, `inverse` and `str`
+    (the JSON element literal), so each rule is written once.
 
 `evaluate` sends a to the unit lamp at index 0 and b to a bare shift; its
 homomorphism property is the binding contract that pins every sign choice,
@@ -49,7 +44,8 @@ from __future__ import annotations
 import math
 import re
 from itertools import chain
-from typing import Iterable, NamedTuple
+from operator import itemgetter
+from typing import Iterable
 
 from .palindromes import PalindromicDecomposition, SelfCheckError, check_group_certificate
 from . import search
@@ -70,34 +66,37 @@ _tuple_new = tuple.__new__
 _CANONICAL_INDEX = re.compile(r"0|-?[1-9][0-9]*", re.ASCII)
 
 
-def _merge(base: Iterable[tuple[int, int]], pairs: Iterable[tuple[int, int]], k: int = 0) -> Tail:
-    """The tail of `base` (distinct indices) plus `pairs` moved by k:
-    exponents at a repeated index add up and zero sums drop."""
-    lamps = dict(base)
-    for i, e in pairs:
-        i += k
-        v = lamps.get(i, 0) + e
-        if v:
-            lamps[i] = v
-        else:
-            lamps.pop(i, None)
-    return tuple(sorted(lamps.items()))
+class WreathElement(tuple):
+    """tail * b^shift as the flat tuple (shift, i1, e1, i2, e2, ...) of the
+    module docstring; `of` builds it from arbitrary pairs."""
 
+    __slots__ = ()
 
-class WreathElement(NamedTuple):
-    """tail * b^shift, the tail given as (index, exponent) pairs in strictly
-    ascending index order with no zero exponent. That form is unique, so
-    the tuple equality and hash are group equality; `of` builds it from
-    arbitrary pairs."""
+    def __new__(cls, tail: Iterable[tuple[int, int]] = (), shift: int = 0) -> "WreathElement":
+        return _tuple_new(cls, (shift, *chain.from_iterable(tail)))
 
-    tail: Tail = ()
-    shift: int = 0
+    def __getnewargs__(self) -> tuple[Tail, int]:  # pickle and copy call __new__ with these
+        return self.tail, self[0]
+
+    shift = property(itemgetter(0), doc="The exponent of b^shift.")
+
+    @property
+    def tail(self) -> Tail:
+        return tuple(zip(self[1::2], self[2::2]))
 
     @classmethod
     def of(cls, lamps: Iterable[tuple[int, int]], shift: int = 0) -> "WreathElement":
         """The element with these (index, exponent) pairs, in any order and
-        with repeats, followed by b^shift."""
-        return cls(_merge((), lamps), shift)
+        with repeats, followed by b^shift: exponents at a repeated index add
+        up and zero sums drop."""
+        tail: dict[int, int] = {}
+        for i, e in lamps:
+            v = tail.get(i, 0) + e
+            if v:
+                tail[i] = v
+            else:
+                tail.pop(i, None)
+        return cls(sorted(tail.items()), shift)
 
     @classmethod
     def identity(cls) -> "WreathElement":
@@ -106,26 +105,19 @@ class WreathElement(NamedTuple):
     @classmethod
     def from_flat(cls, enc: Flat) -> "WreathElement":
         """The element of a flat encoding."""
-        return _tuple_new(cls, (tuple(zip(enc[1::2], enc[2::2])), enc[0]))
-
-    def to_flat(self) -> Flat:
-        """The flat encoding (shift, i1, e1, i2, e2, ...) of the element."""
-        return (self.shift, *chain.from_iterable(self.tail))
+        return _tuple_new(cls, enc)
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        return WreathElement.from_flat(mul(self.to_flat(), other.to_flat()))
+        return _tuple_new(WreathElement, mul(self, other))
 
     def inverse(self) -> "WreathElement":
-        return WreathElement.from_flat(inv(self.to_flat()))
+        return _tuple_new(WreathElement, inv(self))
 
     def in_derived_subgroup(self) -> bool:
-        return self.shift == 0 and sum(e for _, e in self.tail) == 0
+        return self[0] == 0 and sum(self[2::2]) == 0
 
     def to_json(self) -> dict:
-        return {
-            "support": {str(i): e for i, e in self.tail},
-            "shift": self.shift,
-        }
+        return {"support": {str(i): e for i, e in zip(self[1::2], self[2::2])}, "shift": self[0]}
 
     @classmethod
     def from_json(cls, doc: object) -> "WreathElement":
@@ -149,7 +141,7 @@ class WreathElement(NamedTuple):
         return cls.of(pairs, shift)
 
     def __str__(self) -> str:
-        return show(self.to_flat())
+        return show(self)
 
 
 def mul(g: Flat, h: Flat) -> Flat:
@@ -207,7 +199,7 @@ def show(g: Flat) -> str:
 
 def evaluate(w: Word) -> WreathElement:
     """Image of a word over {a, b} under a -> unit lamp at 0, b -> shift 1."""
-    # accumulates in place rather than collecting pairs for `_merge`: a
+    # accumulates in place rather than collecting pairs for `of`: a
     # second pass over every a-syllable doubled the cost on long words.
     # Lamps are keyed from the end of a leading b-syllable, which is added
     # back once at the end: a word that travels far once (a certificate
@@ -242,14 +234,14 @@ def evaluate(w: Word) -> WreathElement:
     lamps = sorted(tail.items())
     if base:
         lamps = [(i - base, e) for i, e in lamps]
-    return WreathElement(tuple(lamps), shift + base)
+    return WreathElement(lamps, shift + base)
 
 
 def reversal_image(g: WreathElement) -> WreathElement:
     """Image of g under the reversal anti-automorphism (fixes a and b,
     reverses products): evaluate(w.reverse()) == reversal_image(evaluate(w))."""
-    s = g.shift
-    return WreathElement(tuple((-s - i, e) for i, e in reversed(g.tail)), s)
+    s = g[0]
+    return WreathElement(((-s - i, e) for i, e in zip(g[-2:0:-2], g[:0:-2])), s)
 
 
 def support_word(tail: Iterable[tuple[int, int]]) -> Word:
@@ -271,12 +263,13 @@ def support_word(tail: Iterable[tuple[int, int]]) -> Word:
 
 
 def to_word(g: WreathElement) -> Word:
-    return support_word(g.tail) * run_word("b", g.shift)
+    return support_word(zip(g[1::2], g[2::2])) * run_word("b", g[0])
 
 
 def commutator_with_b(f: dict[int, int]) -> WreathElement:
     """[f, b] = f^-1 * f^b as an element, for the lamp map f."""
-    return WreathElement(_merge(((i, -e) for i, e in f.items()), f.items(), 1), 0)
+    lamps = f.items()
+    return WreathElement.of(chain(((i, -e) for i, e in lamps), ((i + 1, e) for i, e in lamps)))
 
 
 def _check_span(g: WreathElement) -> None:
@@ -285,15 +278,15 @@ def _check_span(g: WreathElement) -> None:
     routine walks from index 0 or along the shift, since b^shift and the
     conjugator b^j of `three_palindrome_decomposition` are one syllable each
     and `evaluate` keys the lamps of b^-j P b^-j near 0."""
-    check_input_span(g.tail[-1][0] - g.tail[0][0] if g.tail else 0, "lamp hull")
+    check_input_span(g[-2] - g[1] if len(g) > 1 else 0, "lamp hull")
 
 
 def _check_witness_width(g: WreathElement) -> None:
     """Raise BudgetExceeded when the commutator witness of g, up to hi - lo
     indices each as wide as g's farthest lamp, is over the input cap in
     64-bit words. While every index fits in one word this is `_check_span`."""
-    if g.tail:
-        lo, hi = g.tail[0][0], g.tail[-1][0]
+    if len(g) > 1:
+        lo, hi = g[1], g[-2]
         words = -(-max(-lo, hi).bit_length() // 64)
         check_input_span((hi - lo) * words, "lamp hull times 64-bit words per index")
 
@@ -326,7 +319,7 @@ def _solve_commutator(g: WreathElement, step: int = 1) -> dict[int, int]:
     built on it."""
     f: dict[int, int] = {}
     acc = 0
-    for (i, e), (j, _) in zip(g.tail, g.tail[1:]):
+    for i, e, j in zip(g[1::2], g[2::2], g[3::2]):
         acc += e
         check_digits(acc, "a partial lamp sum")
         if acc:
@@ -362,9 +355,9 @@ def three_palindrome_decomposition(g: WreathElement) -> PalindromicDecomposition
     if canonical.is_palindrome():
         factors: tuple[Word, ...] = (canonical,) if canonical else ()
     else:
-        lo = g.tail[0][0]
+        lo = g[1]
         # gcd() of no gaps (a single lamp) is 0
-        factors = _lattice_factors(g, math.gcd(*(i - lo for i, _ in g.tail[1:])) or 1)
+        factors = _lattice_factors(g, math.gcd(*(i - lo for i in g[3::2])) or 1)
     dec = PalindromicDecomposition(canonical, factors, AB)
     check_group_certificate(dec, evaluate, g, 3)
     return dec
@@ -387,16 +380,15 @@ def _lattice_factors(g: WreathElement, m: int) -> tuple[Word, ...]:
     is b^-j (P1 P2 b^(l+m)) b^j = g. For j = 0 nothing is glued; for m = 1,
     p is index 1 clamped to the hull.
     """
-    tail, l = g.tail, g.shift
-    k = sum(e for _, e in tail)
+    l, k = g[0], sum(g[2::2])
     check_digits(k, "the lamp sum k")
     check_digits(l + m, f"the shift l + {m}")
-    lo, hi = tail[0][0], tail[-1][0]
+    lo, hi = g[1], g[-2]
     p = lo + m * ((min(max(m, lo), hi) - lo) // m)
     j = p - m
     # the construction for b^j g b^-j, whose lamps (each moved by -j) run
     # over index m; j = 0 when the hull of g already does
-    derived = WreathElement(_merge((), tail + ((p, -k),), -j), 0)
+    derived = WreathElement.of((i - j, e) for i, e in g.tail + ((p, -k),))
     f = list(_solve_commutator(derived, m).items())
     w_pos = support_word(f)
     w_neg = support_word((i, -e) for i, e in f)
@@ -437,10 +429,10 @@ def evaluator() -> Evaluator:
     """The group record of Z wr Z."""
     return Evaluator(
         alphabet=AB,
-        eval=lambda w: evaluate(w).to_flat(),
+        eval=lambda w: tuple(evaluate(w)),
         mul=mul,
         inv=inv,
         show=show,
-        decode=lambda doc: WreathElement.from_json(doc).to_flat(),
+        decode=lambda doc: tuple(WreathElement.from_json(doc)),
         decompose=lambda enc: three_palindrome_decomposition(WreathElement.from_flat(enc)),
     )

@@ -971,6 +971,19 @@ class TestInputCap:
             "error: palindrome product index exceeded its state cap (completed depth 1)\n"
         )
 
+    def test_a_histogram_of_long_joins_exits_with_the_budget_code(self):
+        # the ball's 15,650 undecided targets each tried up to 3,173
+        # products, for 115 s; the joins now stop at their cap
+        proc, seconds = run_capped(
+            "explore", "--group", "bs:2", "--radius", "18", "--max-len", "14", "--max-factors", "2"
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert seconds < 10
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: palindrome product joins exceeded their cap (completed depth 1)\n"
+        )
+
     @pytest.mark.parametrize("group, max_len", [("heis", "40"), ("wreath", "28")])
     def test_palindromes_over_the_budget_exit_before_enumerating(self, group, max_len):
         # heis at max_len 40 has 13,947,137,600 palindromes; their count,

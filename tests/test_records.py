@@ -2,9 +2,12 @@
 `eval`, `decode`, `mul`, `inv` and `show` on plain tuples agree with the
 class's `evaluate`, `from_json`, `*`, `inverse` and `str`."""
 
+import copy
 import json
+import pickle
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 from strategies import words
 
@@ -41,15 +44,13 @@ wreath_elements = st.builds(WreathElement.of, lamps, st.integers(-999, 999))
 
 @given(wreath_elements, wreath_elements, words(AB))
 def test_wreath_record(g, h, w):
-    check_record(
-        wreath.evaluator(), WreathElement.to_flat, wreath.evaluate, WreathElement(), g, h, w
-    )
-    assert WreathElement.from_flat(g.to_flat()) == g
+    check_record(wreath.evaluator(), tuple, wreath.evaluate, WreathElement(), g, h, w)
+    assert WreathElement.from_flat(tuple(g)) == g
     # the merge against a dict sum of the lamps: (F, s)(G, t) = (F + G
     # moved by -s, s + t)
     moved = [(i - g.shift, e) for i, e in h.tail]
     product = WreathElement.of(g.tail + tuple(moved), g.shift + h.shift)
-    assert wreath.mul(g.to_flat(), h.to_flat()) == product.to_flat()
+    assert wreath.mul(tuple(g), tuple(h)) == tuple(product)
 
 
 heis_elements = st.builds(HeisElement, *[st.integers(-(10**6), 10**6)] * 3)
@@ -76,3 +77,21 @@ def test_bs_record(case):
         baumslag.evaluator(n), tuple, lambda u: baumslag.evaluate(u, n),
         BSElement.identity(n), g, h, w,
     )
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        WreathElement.of([(-3, 2), (5, -1)], 7),
+        WreathElement(),
+        HeisElement(1, -2, 3),
+        BSElement(3, 2, -1, 2),
+    ],
+    ids=["wreath", "wreath-identity", "heis", "bs"],
+)
+def test_copy_and_pickle_round_trips(element):
+    copies = [copy.copy(element), copy.deepcopy(element)]
+    copies += [pickle.loads(pickle.dumps(element, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is type(element)
+        assert other == element and str(other) == str(element)

@@ -7,7 +7,7 @@ import itertools
 import pytest
 from strategies import shortlex_key
 
-from palwidth import baumslag, heisenberg, wreath
+from palwidth import baumslag, heisenberg, search, wreath
 from palwidth.cli import lookup_group
 from palwidth.heisenberg import HeisElement
 from palwidth.palindromes import SelfCheckError
@@ -150,7 +150,7 @@ class TestBallTable:
         for enc, (length, syllables) in table.items():
             witness = Word(syllables)
             assert len(witness) == length
-            assert wreath.evaluate(witness).to_flat() == enc
+            assert tuple(wreath.evaluate(witness)) == enc
 
     def test_against_brute_force_oracle(self):
         # oracle: minimal length and shortlex-first witness over all reduced words
@@ -450,6 +450,18 @@ class TestHistogram:
         with pytest.raises(BudgetExceeded) as exc:
             pal_length_histogram(heisenberg.evaluator(), 2, 3, 4, max_states=20)
         assert exc.value.completed == 0
+
+    def test_joins_stop_past_their_cap(self, monkeypatch):
+        # heis, max_len 4: (0, 0, 1) is no product of two palindrome images,
+        # so each join for it tries all 28 products of level 1. A cap of 56
+        # lets two such joins through and stops the third, at depth 1.
+        index = _PalProductIndex(heisenberg.evaluator(), 4)
+        assert len(index.levels[1]) == 28
+        monkeypatch.setattr(search, "MAX_JOINS", 56)
+        assert index.split((0, 0, 1), 2) is None and index.split((0, 0, 1), 2) is None
+        with pytest.raises(BudgetExceeded) as exc:
+            index.split((0, 0, 1), 2)
+        assert str(exc.value) == "palindrome product joins exceeded their cap (completed depth 1)"
 
 
 @pytest.mark.parametrize("max_len", [4, 5, 6])
